@@ -86,6 +86,17 @@ def lattice_reduce(z: complex, tau: complex):
     return w, j.astype(int), k.astype(int)
 
 
+def lattice_distance(z, tau: complex) -> np.ndarray:
+    """Distance from each z to the nearest lattice point j + k*tau."""
+    w, _, _ = lattice_reduce(z, tau)
+    d = np.abs(w)
+    for dj in (-1, 0, 1):
+        for dk in (-1, 0, 1):
+            if (dj, dk) != (0, 0):
+                d = np.minimum(d, np.abs(w - (dj + dk * tau)))
+    return d
+
+
 @dataclass
 class GridFunction:
     """Complex samples on the cell-centered n-by-n grid of the unit square.

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exprparser as ep
-from .core import HypotorusError, Lattice, as_point
+from .core import HypotorusError, Lattice, as_point, grid_centers
 
 GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
@@ -251,8 +251,6 @@ def coeff_eval(nf: NormalizedField, p) -> tuple[complex, complex]:
 
 
 def coeff_grid(nf: NormalizedField, n: int) -> tuple[np.ndarray, np.ndarray]:
-    from .core import grid_centers
-
     x, y = grid_centers(n)
     return (np.asarray(nf.a(x, y), dtype=complex),
             np.asarray(nf.b(x, y), dtype=complex))
@@ -305,12 +303,14 @@ class ZEvaluator:
         self.n = n
         self.tau = nf.tau
         self._exact = nf.z_exact_ast
+        # centers: Z at the n x n cell centers, shape (n, n), x along axis 0
         if self._exact is not None:
             self._anchor = ep.eval_expr(self._exact, 0.0, 0.0)
-            self._centers = None
+            x, y = grid_centers(n)
+            self.centers = ep.eval_expr(self._exact, x, y) - self._anchor
         else:
             self._anchor = 0j
-            self._centers = self._build_centers()
+            self.centers = self._build_centers()
 
     def _build_centers(self) -> np.ndarray:
         n = self.n
@@ -349,16 +349,6 @@ class ZEvaluator:
         x_leg = np.cumsum(leg_integrals(a_ast))
         y_legs = np.cumsum(leg_integrals(b_ast, fixed_x=centers), axis=1)
         return x_leg[:, None] + y_legs
-
-    @property
-    def centers(self) -> np.ndarray:
-        """Z at the n x n cell centers, shape (n, n), x along axis 0."""
-        if self._centers is None:
-            from .core import grid_centers
-
-            x, y = grid_centers(self.n)
-            self._centers = ep.eval_expr(self._exact, x, y) - self._anchor
-        return self._centers
 
     def at(self, x, y) -> np.ndarray:
         """Z at arbitrary points (vectorized)."""
@@ -409,8 +399,6 @@ class CharReport:
 def char_set_info(nf: NormalizedField, probe_n: int = 128) -> CharReport:
     """Sample Im(a*conj(b)), fit vanishing rates at declared circles, and
     confirm the sign never flips (ellipticity away from the circles)."""
-    from .core import grid_centers
-
     x, y = grid_centers(probe_n)
     im = np.asarray((nf.a(x, y) * np.conj(nf.b(x, y))).imag, dtype=float)
     pos = float(im.max())

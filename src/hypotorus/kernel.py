@@ -8,27 +8,35 @@ operator T that inverts the vector field L = b d/dx - a d/dy on doubly
 periodic data and shifts by exact lattice constants under deck
 transformations.
 
-Quadrature layout for one target p with singular point s* = p mod 1:
+One row engine serves every target, whether a grid center or an arbitrary
+point of the universal cover.  Its row for target p with singular point
+s* = p mod 1 has three parts:
 
-* The cell containing s* freezes the density at its own sample and
-  integrates the kernel alone over a dyadic quadtree that shrinks toward
-  s*; the deepest block still containing s* is dropped - its simple-pole
-  part cancels by central symmetry, leaving an O((h 2^-depth)^(1+alpha))
-  error.  With the density frozen at the cell sample, the Holder-difference
-  term of the classical value-subtraction split vanishes identically.
-  Targets within 2/n of a declared degenerate circle get extra levels,
-  matching the locally worse pole there.
+* Far field: the kernel at every cell center, with the cells whose closure
+  contains s* zeroed.
 
-* Every other cell starts as a single midpoint node.  A cell is refined
-  adaptively whenever its image under the first integral is large relative
-  to its distance from the kernel pole: sub-squares split while
-  side*(|a|+|b|) >= KAPPA * dist(Z(p) - Z(mid), lattice).  This covers both
-  the ordinary neighbors of the singular cell and the cells hugging a
-  degenerate circle, where the first integral compresses distances so
-  strongly that the pole is felt at points far from s* in grid metric
-  (the near-circle mirror of the target, for instance).  The refined value
-  replaces the midpoint kernel sample as an effective cell average, so
-  downstream code sees one weight row per target either way.
+* Refined cells: a cell is refined adaptively whenever its image under the
+  first integral is large relative to its distance from the kernel pole:
+  sub-squares split while side*(|a|+|b|) >= KAPPA * dist(Z(p) - Z(mid),
+  lattice).  This covers both the ordinary neighbors of the singular cell
+  and the cells hugging a degenerate circle, where the first integral
+  compresses distances so strongly that the pole is felt at points far
+  from s* in grid metric (the near-circle mirror of the target, for
+  instance).  The refined cell average replaces the midpoint sample.
+
+* Singular quadtree: each singular cell freezes the density at its own
+  sample and integrates the kernel alone over a dyadic quadtree that
+  shrinks toward s*; the deepest block still containing s* is dropped - its
+  simple-pole part cancels by central symmetry, leaving an
+  O((h 2^-depth)^(1+alpha)) error.  With the density frozen at the cell
+  sample, the Holder-difference term of the classical value-subtraction
+  split vanishes identically.  Targets within 2/n of a declared degenerate
+  circle get extra levels, matching the locally worse pole there.
+
+For grid targets the quadtree weight lands on the diagonal of the weight
+matrix W.  Up to n = _MATRIX_MAX_N the finished rows of W are cached on the
+context and every apply is one matrix product; above it W would not fit in
+memory, so each apply streams the same rows block by block.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GridFunction, HypotorusError, as_point, lattice_reduce
+from .core import (GridFunction, HypotorusError, as_point, grid_centers,
+                   lattice_distance)
 from .field import NormalizedField, ZEvaluator
 from .theta import ThetaContext, theta_context, theta_log_deriv_raw
 
@@ -48,19 +57,6 @@ KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
 _MATRIX_MAX_N = 80  # above this the n^4 weight matrix would not fit in RAM
 _SQUARE_BUDGET = 500_000  # per-batch guard against runaway refinement
-
-
-def _ring_offsets(level: int):
-    """Midpoints (in units of h, relative to the quadtree center) of the 12
-    squares evaluated at one subdivision level of the singular cell."""
-    u = 2.0 ** -level
-    base = ((1.5 * u, 0.5 * u), (0.5 * u, 1.5 * u), (1.5 * u, 1.5 * u))
-    offs = []
-    for qx in (-1.0, 1.0):
-        for qy in (-1.0, 1.0):
-            for (ax, ay) in base:
-                offs.append((qx * ax, qy * ay))
-    return offs, u
 
 
 def thread_count() -> int:
@@ -86,8 +82,8 @@ class KernelContext:
     n: int
     refine_depth: int = 6
     zeval: ZEvaluator = field(repr=False, default=None)
-    _zoff: dict = field(repr=False, default_factory=dict)
-    _wcoeff: np.ndarray = field(repr=False, default=None)
+    # |a| + |b| at cell centers: the local Z-stretch of a cell
+    coeff_size: np.ndarray = field(repr=False, init=False)
     _qtw: np.ndarray = field(repr=False, default=None)
     _wmat: np.ndarray = field(repr=False, default=None)
 
@@ -99,6 +95,9 @@ class KernelContext:
                 f"refine_depth must lie in [2, 12], got {self.refine_depth}")
         if self.zeval is None:
             self.zeval = ZEvaluator(self.nf, self.n)
+        x, y = grid_centers(self.n)
+        self.coeff_size = (np.abs(self.nf.a(x, y))
+                           + np.abs(self.nf.b(x, y))).astype(float)
 
     @property
     def tau(self) -> complex:
@@ -115,28 +114,6 @@ class KernelContext:
     @property
     def z_centers(self) -> np.ndarray:
         return self.zeval.centers
-
-    def z_offset_grid(self, ox: float, oy: float) -> np.ndarray:
-        """Z at (cell centers + (ox, oy)*h), shape (n, n), memoized."""
-        key = (round(ox, 12), round(oy, 12))
-        got = self._zoff.get(key)
-        if got is None:
-            from .core import grid_centers
-
-            x, y = grid_centers(self.n)
-            got = self.zeval.at(x + ox * self.h, y + oy * self.h)
-            self._zoff[key] = got
-        return got
-
-    def coeff_size(self) -> np.ndarray:
-        """|a| + |b| at cell centers: the local Z-stretch of a cell."""
-        if self._wcoeff is None:
-            from .core import grid_centers
-
-            x, y = grid_centers(self.n)
-            self._wcoeff = (np.abs(self.nf.a(x, y))
-                            + np.abs(self.nf.b(x, y))).astype(float)
-        return self._wcoeff
 
     def sigma_bump(self, y: float) -> int:
         """Extra quadtree levels for targets within 2/n of a degenerate
@@ -163,18 +140,6 @@ def kernel_context(nf: NormalizedField, n: int, refine_depth: int = 6,
 
 # ---------------------------------------------------------------- kernel
 
-def _lattice_dist(ctx: KernelContext, z: np.ndarray) -> np.ndarray:
-    """Distance from each value to the nearest lattice point j + k*tau."""
-    w, _, _ = lattice_reduce(z, ctx.tau)
-    d = np.abs(w)
-    for dj in (-1, 0, 1):
-        for dk in (-1, 0, 1):
-            if (dj, dk) == (0, 0):
-                continue
-            d = np.minimum(d, np.abs(w - (dj + dk * ctx.tau)))
-    return d
-
-
 def kernel_m(ctx: KernelContext, p, s) -> complex:
     """Theta log-derivative at Z(s) - Z(p) + z0.
 
@@ -185,7 +150,7 @@ def kernel_m(ctx: KernelContext, p, s) -> complex:
     zp = complex(ctx.zeval.at(pp.x, pp.y))
     zs = complex(ctx.zeval.at(ss.x, ss.y))
     diff = np.asarray(zs - zp)
-    if float(_lattice_dist(ctx, diff)) < 1e-12:
+    if float(lattice_distance(diff, ctx.tau)) < 1e-12:
         raise HypotorusError(
             "kernel is singular: source and target coincide on the torus")
     return complex(theta_log_deriv_raw(ctx.theta, diff + ctx.z0))
@@ -214,7 +179,7 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
     for level in range(MAX_LEVEL + 1):
         zs = ctx.zeval.at(mx, my)
         arg = zt_sq - zs
-        d = _lattice_dist(ctx, arg)
+        d = lattice_distance(arg, ctx.tau)
         w = np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my))
         split = (side * w >= KAPPA * d) & (level < MAX_LEVEL)
         if len(mx) > _SQUARE_BUDGET:
@@ -235,25 +200,22 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
     return out
 
 
-# ------------------------------------------------------- weight assembly
+# --------------------------------------------------------- row engine
 
-def _weight_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
-    """Effective kernel rows for flat targets [r0, r1): the kernel at every
-    cell center, with the singular cell zeroed and adaptively refined cells
-    replaced by their cell-averaged kernel value.  Multiplying by h^2 and a
-    density sample gives that cell's contribution to the integral."""
-    n, h = ctx.n, ctx.h
-    zs = ctx.z_centers.ravel()
-    zt = zs[r0:r1]
-    arg = zt[:, None] - zs[None, :]
+def _kernel_rows(ctx: KernelContext, zt: np.ndarray, sing_r,
+                 sing_c) -> np.ndarray:
+    """Far-field kernel rows for targets with first-integral values zt: the
+    kernel at every cell center, with the singular (row, cell) pairs zeroed
+    and adaptively refined cells replaced by their cell-averaged kernel
+    value.  Multiplying by h^2 and a density sample gives that cell's
+    contribution to the integral."""
+    h = ctx.h
+    arg = zt[:, None] - ctx.z_centers.ravel()[None, :]
     rows = _kt(ctx, arg + ctx.z0)
-    dist = _lattice_dist(ctx, arg)
-    t = np.arange(r0, r1)
-    local = np.arange(r1 - r0)
-    rows[local, t] = 0.0
-    dist[local, t] = np.inf
-    thresh = (h / KAPPA) * ctx.coeff_size().ravel()
-    flag = dist < thresh[None, :]
+    dist = lattice_distance(arg, ctx.tau)
+    rows[sing_r, sing_c] = 0.0
+    dist[sing_r, sing_c] = np.inf
+    flag = dist < (h / KAPPA) * ctx.coeff_size.ravel()[None, :]
     if np.any(flag):
         tloc, cols = np.nonzero(flag)
         refined = _refined_cell_integrals(ctx, zt[tloc], cols)
@@ -261,41 +223,67 @@ def _weight_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
     return rows
 
 
+def _singular_squares(rx: float, ry: float, depth: int):
+    """Evaluated squares of the singular cell's dyadic quadtree toward the
+    point (rx, ry): x offsets, y offsets and sides, in units of h relative
+    to the cell center.  Each level splits the squares that still contain
+    the point; the deepest squares containing it are dropped."""
+    cx = cy = np.zeros(1)
+    half = 0.5
+    out_x, out_y, out_side = [], [], []
+    for _ in range(depth):
+        half /= 2.0
+        kx = np.concatenate([cx - half, cx - half, cx + half, cx + half])
+        ky = np.concatenate([cy - half, cy + half, cy - half, cy + half])
+        keep = (np.abs(rx - kx) <= half) & (np.abs(ry - ky) <= half)
+        out_x.append(kx[~keep])
+        out_y.append(ky[~keep])
+        out_side.append(np.full(np.count_nonzero(~keep), 2.0 * half))
+        cx, cy = kx[keep], ky[keep]
+    return (np.concatenate(out_x), np.concatenate(out_y),
+            np.concatenate(out_side))
+
+
 def _qt_weights(ctx: KernelContext) -> np.ndarray:
     """Singular-cell quadtree weight (the kernel integrated over the
     target's own cell, deepest block dropped) for every grid target."""
     if ctx._qtw is not None:
         return ctx._qtw
+    h = ctx.h
+    x, y = grid_centers(ctx.n)
     zc = ctx.z_centers
-    z0 = ctx.z0
-    h2 = ctx.h * ctx.h
     depths = ctx.row_depths()
-    base_depth = ctx.refine_depth
     acc = np.zeros_like(zc)
-    for level in range(2, int(depths.max()) + 1):
-        offs, u = _ring_offsets(level)
-        if level <= base_depth:
-            cols = slice(None)
-        else:
-            cols = depths >= level
-            if not np.any(cols):
-                break
-        zt = zc[:, cols]
-        part = np.zeros_like(zt)
-        for (ox, oy) in offs:
-            part += _kt(ctx, zt - ctx.z_offset_grid(ox, oy)[:, cols] + z0)
-        acc[:, cols] += part * (u * u * h2)
-    ctx._qtw = acc
-    return acc
+    for depth in np.unique(depths):
+        cols = depths == depth
+        xs, ys, zt = x[:, cols], y[:, cols], zc[:, cols]
+        for ox, oy, s in zip(*_singular_squares(0.0, 0.0, int(depth))):
+            zs = ctx.zeval.at(xs + ox * h, ys + oy * h)
+            acc[:, cols] += _kt(ctx, zt - zs + ctx.z0) * (s * s)
+    ctx._qtw = acc * (h * h)
+    return ctx._qtw
 
 
-def _target_blocks(n: int):
-    total = n * n
+def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
+    """Rows [r0, r1) of W: far-field rows times h^2 plus the quadtree weight
+    on the diagonal, scaled by 1/(2 pi i)."""
+    t = np.arange(r0, r1)
+    local = np.arange(r1 - r0)
+    zt = ctx.z_centers.ravel()[r0:r1]
+    rows = _kernel_rows(ctx, zt, local, t)
+    rows *= ctx.h * ctx.h / (2.0j * np.pi)
+    rows[local, t] += _qt_weights(ctx).ravel()[r0:r1] / (2.0j * np.pi)
+    return rows
+
+
+def _run_row_blocks(ctx: KernelContext, fn):
+    """Call fn on blocks (r0, r1) covering all flat grid targets, on
+    thread_count() threads.  The cached quadtree weights are filled first,
+    so the threads only read shared state."""
+    _qt_weights(ctx)
+    total = ctx.n * ctx.n
     size = max(64, 1_048_576 // total)
-    return [(r, min(r + size, total)) for r in range(0, total, size)]
-
-
-def _run_blocks(fn, blocks):
+    blocks = [(r, min(r + size, total)) for r in range(0, total, size)]
     threads = thread_count()
     if threads == 1 or len(blocks) == 1:
         for b in blocks:
@@ -313,18 +301,14 @@ def operator_matrix(ctx: KernelContext) -> np.ndarray:
             f"weight matrix at n={ctx.n} would exceed the memory budget")
     if ctx._wmat is not None:
         return ctx._wmat
-    n = ctx.n
-    total = n * n
-    scale = ctx.h * ctx.h / (2.0j * np.pi)
+    total = ctx.n * ctx.n
     w = np.empty((total, total), dtype=complex)
 
     def fill(block):
         r0, r1 = block
-        w[r0:r1] = _weight_rows(ctx, r0, r1) * scale
+        w[r0:r1] = _operator_rows(ctx, r0, r1)
 
-    _run_blocks(fill, _target_blocks(n))
-    t = np.arange(total)
-    w[t, t] += _qt_weights(ctx).ravel() / (2.0j * np.pi)
+    _run_row_blocks(ctx, fill)
     ctx._wmat = w
     return w
 
@@ -334,56 +318,30 @@ def t_omega(ctx: KernelContext, g: GridFunction) -> GridFunction:
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     n = ctx.n
-    if n <= _MATRIX_MAX_N:
-        w = operator_matrix(ctx)
-        vals = (w @ g.values.ravel()).reshape(n, n)
-        return GridFunction(n, vals)
     gflat = g.values.ravel()
-    h2 = ctx.h * ctx.h
-    far = np.empty(n * n, dtype=complex)
+    if n <= _MATRIX_MAX_N:
+        return GridFunction(n, (operator_matrix(ctx) @ gflat).reshape(n, n))
+    out = np.empty(n * n, dtype=complex)
 
     def fill(block):
         r0, r1 = block
-        far[r0:r1] = _weight_rows(ctx, r0, r1) @ gflat
+        out[r0:r1] = _operator_rows(ctx, r0, r1) @ gflat
 
-    _run_blocks(fill, _target_blocks(n))
-    total = far.reshape(n, n) * h2 + _qt_weights(ctx) * g.values
-    return GridFunction(n, total / (2.0j * np.pi))
+    _run_row_blocks(ctx, fill)
+    return GridFunction(n, out.reshape(n, n))
 
 
 # ------------------------------------------------------ point evaluation
 
 def _axis_cells(c: float, n: int):
-    """Cells (per axis) whose closure contains coordinate c mod 1."""
+    """(cell, offset of c from the cell center in units of h) for each cell
+    per axis whose closure contains coordinate c mod 1."""
     f = (c % 1.0) * n
     r = round(f)
     if abs(f - r) < 1e-9:
-        return [int(r - 1) % n, int(r) % n]
-    return [int(math.floor(f)) % n]
-
-
-def _quadtree_squares(cx: float, cy: float, half: float, sx: float, sy: float,
-                      depth: int):
-    """Evaluated (midpoint, side) tuples of the dyadic quadtree of the
-    square centered (cx, cy) with half-width `half`, shrinking toward
-    (sx, sy); the deepest squares still containing the point are dropped."""
-    out_x, out_y, out_side = [], [], []
-    current = [(cx, cy, half)]
-    for _ in range(depth):
-        nxt = []
-        for (qx, qy, hf) in current:
-            nh = hf / 2.0
-            for ox in (-nh, nh):
-                for oy in (-nh, nh):
-                    mx, my = qx + ox, qy + oy
-                    if abs(sx - mx) <= nh and abs(sy - my) <= nh:
-                        nxt.append((mx, my, nh))
-                    else:
-                        out_x.append(mx)
-                        out_y.append(my)
-                        out_side.append(2.0 * nh)
-        current = nxt
-    return np.asarray(out_x), np.asarray(out_y), np.asarray(out_side)
+        return [((r - 1) % n, f - r + 0.5), (r % n, f - r - 0.5)]
+    i = math.floor(f)
+    return [(i % n, f - i - 0.5)]
 
 
 def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
@@ -400,33 +358,17 @@ def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
     pp = as_point(p)
     n, h = ctx.n, ctx.h
     zp = complex(ctx.zeval.at(pp.x, pp.y))
-    sx, sy = pp.x % 1.0, pp.y % 1.0
-    sing = [(i, j) for i in _axis_cells(pp.x, n) for j in _axis_cells(pp.y, n)]
-
+    sing = [(i, ox, j, oy) for (i, ox) in _axis_cells(pp.x, n)
+            for (j, oy) in _axis_cells(pp.y, n)]
+    cells = [i * n + j for (i, _, j, _) in sing]
+    row = _kernel_rows(ctx, np.array([zp]), 0, cells)[0]
     gv = g.values
-    zs = ctx.z_centers.ravel()
-    arg = zp - zs
-    row = _kt(ctx, arg + ctx.z0)
-    dist = _lattice_dist(ctx, arg)
-    for (i, j) in sing:
-        row[i * n + j] = 0.0
-        dist[i * n + j] = np.inf
-    thresh = (h / KAPPA) * ctx.coeff_size().ravel()
-    cols = np.nonzero(dist < thresh)[0]
-    if len(cols):
-        refined = _refined_cell_integrals(
-            ctx, np.full(len(cols), zp, dtype=complex), cols)
-        row[cols] = refined / (h * h)
     total = (row @ gv.ravel()) * (h * h)
 
     depth = ctx.refine_depth + ctx.sigma_bump(pp.y)
-    for (i, j) in sing:
-        cx, cy = (i + 0.5) * h, (j + 0.5) * h
-        # representative of the singular point nearest this cell's center
-        rx = sx + round(cx - sx)
-        ry = sy + round(cy - sy)
-        qx, qy, side = _quadtree_squares(cx, cy, h / 2.0, rx, ry, depth)
-        if len(qx):
-            vals = _kt(ctx, zp - ctx.zeval.at(qx, qy) + ctx.z0)
-            total += np.sum(vals * side * side) * gv[i, j]
+    for (i, ox, j, oy) in sing:
+        qx, qy, side = _singular_squares(ox, oy, depth)
+        zs = ctx.zeval.at((i + 0.5 + qx) * h, (j + 0.5 + qy) * h)
+        vals = _kt(ctx, zp - zs + ctx.z0)
+        total += np.sum(vals * side * side) * (h * h) * gv[i, j]
     return complex(total / (2.0j * np.pi))

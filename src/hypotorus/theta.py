@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HypotorusError, Lattice, lattice_reduce
+from .core import HypotorusError, Lattice, lattice_distance, lattice_reduce
 
 
 class PoleProximityError(HypotorusError):
@@ -143,18 +143,6 @@ def theta_deriv(ctx: ThetaContext, z: complex) -> complex:
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def _zero_distance(ctx: ThetaContext, w) -> np.ndarray:
-    """Distance from reduced w to the nearest lattice copy of the zero."""
-    tau = ctx.lattice.tau
-    z0 = ctx.zero_point
-    w = np.asarray(w, dtype=complex)
-    d = np.full(w.shape, np.inf)
-    for dj in (-1, 0, 1):
-        for dk in (-1, 0, 1):
-            d = np.minimum(d, np.abs(w - (z0 + dj + dk * tau)))
-    return d
-
-
 def theta_log_deriv(ctx: ThetaContext, z) -> complex:
     """Theta'(z)/Theta(z).
 
@@ -163,7 +151,7 @@ def theta_log_deriv(ctx: ThetaContext, z) -> complex:
     within 1e-13 of a zero of Theta.
     """
     w, j, k = lattice_reduce(z, ctx.lattice.tau)
-    if np.any(_zero_distance(ctx, w) < 1e-13):
+    if np.any(lattice_distance(w - ctx.zero_point, ctx.lattice.tau) < 1e-13):
         raise PoleProximityError("argument within 1e-13 of a theta zero")
     s0, s1 = _series_pair(ctx, w)
     out = s1 / s0 - 2j * math.pi * np.asarray(k)

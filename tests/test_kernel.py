@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,22 +12,30 @@ from hypotorus import (
     t_omega,
     t_omega_point,
 )
+from hypotorus import exprparser as ep
 from hypotorus import kernel as kn
+from hypotorus.core import lattice_distance
 
 
 def test_ring_offsets_geometry():
-    for level in (2, 3, 5):
-        offs, u = kn._ring_offsets(level)
-        assert len(offs) == 12
-        assert u == 2.0 ** -level
-        arr = np.asarray(offs)
-        # every midpoint sits in the L-inf ring between u and 2u, and the
-        # pattern is centrally symmetric (pole contributions cancel in pairs)
-        assert np.all(np.max(np.abs(arr), axis=1) <= 1.5 * u + 1e-15)
-        assert np.all(np.max(np.abs(arr), axis=1) >= 0.5 * u - 1e-15)
-        for (ox, oy) in offs:
-            assert any(abs(ox + px) < 1e-15 and abs(oy + py) < 1e-15
-                       for (px, py) in offs)
+    # a point at the cell center: every level after the first emits a
+    # 12-square ring; the first keeps all four children
+    for depth in (3, 4, 6):
+        qx, qy, side = kn._singular_squares(0.0, 0.0, depth)
+        assert len(qx) == 12 * (depth - 1)
+        for level in range(2, depth + 1):
+            u = 2.0 ** -level
+            ring = side == u
+            assert np.count_nonzero(ring) == 12
+            arr = np.column_stack([qx[ring], qy[ring]])
+            # every midpoint sits in the L-inf ring between u and 2u, and
+            # the pattern is centrally symmetric (pole contributions cancel
+            # in pairs)
+            assert np.all(np.max(np.abs(arr), axis=1) <= 1.5 * u + 1e-15)
+            assert np.all(np.max(np.abs(arr), axis=1) >= 0.5 * u - 1e-15)
+            for (ox, oy) in arr:
+                assert np.any((np.abs(ox + arr[:, 0]) < 1e-15)
+                              & (np.abs(oy + arr[:, 1]) < 1e-15))
 
 
 def test_thread_count_env(monkeypatch):
@@ -82,13 +92,16 @@ def test_kernel_m_singular(ctx_elliptic_16):
         kernel_m(ctx_elliptic_16, (0.3, 0.4), (1.3, 1.4))
 
 
-def test_point_eval_matches_grid_at_centers(ctx_elliptic_16):
-    ctx = ctx_elliptic_16
+def test_point_eval_matches_grid_at_centers(nf_elliptic, nf_deg_sin2,
+                                            nf_deg_2d):
     g = GridFunction.from_callable(16, lambda x, y: np.exp(2j * np.pi * x))
-    tg = t_omega(ctx, g)
-    for (i, j) in ((0, 0), (3, 7), (9, 2), (15, 15)):
-        p = ((i + 0.5) / 16, (j + 0.5) / 16)
-        assert abs(t_omega_point(ctx, g, p) - tg.values[i, j]) < 1e-10
+    for nf in (nf_elliptic, nf_deg_sin2, nf_deg_2d):
+        ctx = kernel_context(nf, 16)
+        tg = t_omega(ctx, g)
+        for i in range(16):
+            for j in range(16):
+                p = ((i + 0.5) / 16, (j + 0.5) / 16)
+                assert abs(t_omega_point(ctx, g, p) - tg.values[i, j]) < 1e-10
 
 
 def test_point_eval_continuous_across_cell_edges(ctx_elliptic_16):
@@ -117,15 +130,31 @@ def test_point_eval_quasi_periodicity(ctx_elliptic_16):
     assert abs(dev) < 1e-5
 
 
-def test_streamed_matches_matrix_path(nf_elliptic, ctx_elliptic_16,
+def test_point_eval_edge_offsets_exact_off_power_of_two(nf_elliptic):
+    # at n=48, h is not a binary fraction; a probe on a cell corner must
+    # still be seen on the corner, which keeps it close to the limit of
+    # nearby interior points
+    ctx = kernel_context(nf_elliptic, 48)
+    g = GridFunction.from_callable(
+        48, lambda x, y: np.exp(2j * np.pi * (x + 2 * y)))
+    for p in ((0.0625, 1.0), (0.4375, 0.0), (0.25, 0.4)):
+        corner = t_omega_point(ctx, g, p)
+        near = np.mean([t_omega_point(ctx, g, (p[0] + sx, p[1] + sy))
+                        for sx in (-1e-8, 1e-8) for sy in (-1e-8, 1e-8)])
+        assert abs(corner - near) < 1e-4
+
+
+def test_streamed_matches_matrix_path(nf_elliptic, nf_deg_sin2,
                                       monkeypatch):
+    # degenerate_sin2 puts bumped rows near its circle through both paths
     g = GridFunction.from_callable(
         16, lambda x, y: np.sin(np.pi * y) ** 2 + 0.5j * np.cos(2 * np.pi * x))
-    want = t_omega(ctx_elliptic_16, g)
-    monkeypatch.setattr(kn, "_MATRIX_MAX_N", 8)
-    ctx = kernel_context(nf_elliptic, 16)
-    got = t_omega(ctx, g)
-    assert np.max(np.abs(got.values - want.values)) < 1e-12
+    for nf in (nf_elliptic, nf_deg_sin2):
+        want = t_omega(kernel_context(nf, 16), g)
+        with monkeypatch.context() as m:
+            m.setattr(kn, "_MATRIX_MAX_N", 8)
+            got = t_omega(kernel_context(nf, 16), g)
+        assert np.max(np.abs(got.values - want.values)) < 1e-12
 
 
 def test_threaded_run_is_deterministic(nf_elliptic, monkeypatch):
@@ -139,10 +168,36 @@ def test_threaded_run_is_deterministic(nf_elliptic, monkeypatch):
     assert np.array_equal(one.values, four.values)
 
 
+def test_threaded_build_counts_expression_points_once(nf_elliptic,
+                                                     monkeypatch):
+    # elliptic at n=48 has 6 row blocks; two threads must not both fill a
+    # shared lazy cache, which would evaluate the same points twice
+    lock = threading.Lock()
+    count = [0]
+    eval_expr = ep.eval_expr
+
+    def counting(ast, x, y):
+        with lock:
+            count[0] += np.broadcast(np.asarray(x), np.asarray(y)).size
+        return eval_expr(ast, x, y)
+
+    def points_in_build(threads):
+        ctx = kernel_context(nf_elliptic, 48)
+        monkeypatch.setenv("HYPOTORUS_THREADS", threads)
+        count[0] = 0
+        operator_matrix(ctx)
+        return count[0]
+
+    monkeypatch.setattr(ep, "eval_expr", counting)
+    want = points_in_build("1")
+    assert want > 0
+    for _ in range(3):
+        assert points_in_build("2") == want
+
+
 def test_lattice_dist(ctx_elliptic_16):
-    ctx = ctx_elliptic_16
     z = np.array([0j, 1 + 0j, 2 + 3j, (1 + 1j) / 2])
-    d = kn._lattice_dist(ctx, z)
+    d = lattice_distance(z, ctx_elliptic_16.tau)
     assert np.allclose(d[:3], 0.0, atol=1e-12)
     assert abs(d[3] - np.sqrt(2) / 2) < 1e-12
 
@@ -157,12 +212,12 @@ def test_row_depths(ctx_elliptic_16, ctx_deg_sin2_32):
 
 
 def test_quadtree_squares_off_center():
-    qx, qy, side = kn._quadtree_squares(0.5, 0.5, 0.5, 0.61, 0.37, 5)
+    qx, qy, side = kn._singular_squares(0.11, -0.13, 5)
     assert len(qx) == 3 * 5
     covered = np.sum(side ** 2)
     assert abs(covered - (1.0 - (1.0 / 2 ** 5) ** 2)) < 1e-14
     # no evaluated square contains the singular point
-    assert np.all(np.maximum(np.abs(qx - 0.61), np.abs(qy - 0.37))
+    assert np.all(np.maximum(np.abs(qx - 0.11), np.abs(qy + 0.13))
                   > side / 2 - 1e-15)
 
 
@@ -170,7 +225,7 @@ def test_quadtree_squares_centered_point():
     # point at the cell center: the first level keeps all four children, so
     # each following level emits a 12-square ring and four deepest blocks
     # are dropped symmetrically
-    qx, qy, side = kn._quadtree_squares(0.5, 0.5, 0.5, 0.5, 0.5, 6)
+    qx, qy, side = kn._singular_squares(0.0, 0.0, 6)
     assert len(qx) == 12 * 5
     covered = np.sum(side ** 2)
     assert abs(covered - (1.0 - 4 * (1.0 / 2 ** 6) ** 2)) < 1e-14
