@@ -21,8 +21,7 @@ import numpy as np
 from . import exprparser as ep
 from .core import GridFunction, HypotorusError, grid_centers
 from .field import (BUILTIN_NAMES, FieldSpec, SigmaComponent, build_field,
-                    char_set_info, normalize, parse_sigma_hint, periods,
-                    coeff_grid)
+                    char_set_info, coeff_grid, normalize, parse_sigma_hint)
 from .kernel import kernel_context, t_omega, t_omega_point
 from .solvers import mean_integral, solve_a, solve_ab, solve_f
 from .theta import theta_context, theta_eval
@@ -217,7 +216,7 @@ def load_config(path: str) -> CaseConfig:
     tobj = raw.get("theta", {})
     _require_object(tobj, "/theta")
     _reject_unknown(tobj, "/theta", {"tol"})
-    theta_tol = _get_real(tobj, "/theta", "tol", 1e-14, 0.0, 1e-2)
+    theta_tol = _get_real(tobj, "/theta", "tol", 1e-14, 0.0, 1e-6)
     return CaseConfig(spec=spec, grid_n=grid_n, equation=equation, rhs=rhs,
                       solver=solver, refine_depth=refine_depth,
                       theta_tol=theta_tol)
@@ -272,19 +271,16 @@ def _run_solve(cfg: CaseConfig, n: int):
     s = cfg.solver
     if cfg.equation == "f":
         report = solve_f(ctx, GridFunction(n, rhs["f"]))
-        target = rhs["f"]
     elif cfg.equation == "a":
         report = solve_a(ctx, GridFunction(n, rhs["A"]),
                          lattice_tol=s["lattice_tol"])
-        target = None
     else:
         report = solve_ab(ctx, GridFunction(n, rhs["A"]),
                           GridFunction(n, rhs["B"]), k_max=s["k_max"],
                           damping=s["damping"], max_iter=s["max_iter"],
                           picard_tol=s["picard_tol"],
                           lattice_tol=s["lattice_tol"])
-        target = None
-    return nf, ctx, rhs, report, target
+    return nf, ctx, rhs, report
 
 
 # ---------------------------------------------------------------- outputs
@@ -334,7 +330,7 @@ _VERDICT_EXIT = {"yes": EXIT_OK, "no": EXIT_NO,
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     t0 = time.perf_counter()
-    nf, ctx, rhs, report, target = _run_solve(cfg, cfg.grid_n)
+    nf, ctx, rhs, report = _run_solve(cfg, cfg.grid_n)
     wall = time.perf_counter() - t0
     _write_csv(args.out_prefix + ".u.csv", report.u, cfg.grid_n)
     _write_report(args.out_prefix + ".report.json", report, cfg.grid_n, wall)
@@ -410,11 +406,10 @@ def _cmd_operator_check(args) -> int:
 
 def _cmd_field_info(args) -> int:
     cfg = load_config(args.config)
-    c1, c2 = periods(cfg.spec)
     nf = normalize(cfg.spec)
     print(f"field: {cfg.spec.name}")
-    print(f"x-period integral {c1:.12g}")
-    print(f"y-period integral {c2:.12g}")
+    print(f"x-period integral {nf.c1:.12g}")
+    print(f"y-period integral {nf.c2:.12g}")
     print(f"tau {nf.tau:.12g}  (y-axis flipped: {nf.flip_y})")
     info = char_set_info(nf)
     print(f"orientation fixed: {info.sign_fixed}; min |Im(a*conj(b))| "
@@ -440,7 +435,7 @@ def _cmd_convergence(args) -> int:
     verdicts = []
 
     def case(n: int) -> ResidualReport:
-        nf, ctx, rhs, report, target = _run_solve(cfg, n)
+        nf, ctx, rhs, report = _run_solve(cfg, n)
         verdicts.append(report.solvable)
         if report.u is None:
             raise HypotorusError(

@@ -4,10 +4,12 @@ Grammar (whitespace insignificant, '^' binds tightest, integer powers only):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' intlit)?
+    factor := '-' factor | base ('^' intlit)?
     base   := number | 'i' | 'pi' | 'x' | 'y'
-            | ident '(' expr ')' | '(' expr ')' | '-' base
+            | ident '(' expr ')' | '(' expr ')'
     ident  := 'sin' | 'cos' | 'exp' | 'abs' | 'sqrt' | 'conj'
+
+Unary minus applies to a whole power, so -x^2 is -(x^2).
 
 Evaluation is complex-valued and accepts numpy arrays for x and y.
 """
@@ -191,6 +193,10 @@ class _Parser:
                 return node
 
     def factor(self) -> ExprAst:
+        kind, text, off = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return Neg(self.factor(), off)
         node = self.base()
         kind, text, off = self.peek()
         if kind == "op" and text == "^":
@@ -231,8 +237,6 @@ class _Parser:
             node = self.expr()
             self.expect_op(")")
             return node
-        if kind == "op" and text == "-":
-            return Neg(self.base(), off)
         raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", off)
 
 

@@ -157,48 +157,30 @@ def integrate_line(fn, lo: float, hi: float, breakpoints=(),
 class NormalizedField:
     """A field spec together with its normalization data.
 
-    The normalized coefficients are a_n = scale*a_raw(x, +-y) and
-    b_n = -+scale*b_raw(x, +-y), the sign and reflection fixed by flip_y.
+    The normalized coefficients are a_n = a_raw(x, +-y)/c1 and
+    b_n = -+b_raw(x, +-y)/c1, the sign and reflection fixed by flip_y; the
+    declared circles are reflected with y.
     """
 
     spec: FieldSpec
     c1: complex
     c2: complex
-    scale: complex
     flip_y: bool
-    tau: complex
     lattice: Lattice
-    a_n_src: str
-    b_n_src: str
-    z_n_src: str | None
+    a_ast: ep.ExprAst
+    b_ast: ep.ExprAst
+    z_exact_ast: ep.ExprAst | None
+    components: tuple[SigmaComponent, ...]
 
     @property
-    def a_ast(self):
-        return ep.parse_expr(self.a_n_src)
-
-    @property
-    def b_ast(self):
-        return ep.parse_expr(self.b_n_src)
-
-    @property
-    def z_exact_ast(self):
-        return ep.parse_expr(self.z_n_src) if self.z_n_src else None
+    def tau(self) -> complex:
+        return self.lattice.tau
 
     def a(self, x, y):
         return ep.eval_expr(self.a_ast, x, y)
 
     def b(self, x, y):
         return ep.eval_expr(self.b_ast, x, y)
-
-    @property
-    def components(self):
-        if not self.flip_y:
-            return self.spec.components
-        out = []
-        for c in self.spec.components:
-            y0 = None if c.y0 is None else (-c.y0) % 1.0
-            out.append(SigmaComponent(c.sigma, y0, f"{c.label} (reflected)"))
-        return tuple(out)
 
     @property
     def sigma_max(self) -> float:
@@ -226,22 +208,26 @@ def normalize(spec: FieldSpec) -> NormalizedField:
         raise HypotorusError(
             f"periods c1={c1}, c2={c2} do not span: |Im(c1*conj(c2))| <= 1e-10")
     flip = (c2 / c1).imag <= 0.0
-    scale = 1.0 / c1
     tau = (-c2 if flip else c2) / c1
-    sc = ep.const(scale)
+    sc = ep.const(1.0 / c1)
 
-    def normalize_ast(src, negate=False):
-        ast = ep.parse_expr(src)
+    def normalize_ast(ast, negate=False):
         if flip:
             ast = ep.subst(ast, "y", ep.neg(ep.var("y")))
         out = ep.mul(sc, ast)
-        return ep.to_string(ep.neg(out) if negate else out)
+        return ep.neg(out) if negate else out
 
-    a_n = normalize_ast(spec.a_src)
-    b_n = normalize_ast(spec.b_src, negate=flip)
-    z_n = normalize_ast(spec.z_exact_src) if spec.z_exact_src else None
-    return NormalizedField(spec, c1, c2, scale, flip, complex(tau),
-                           Lattice(complex(tau)), a_n, b_n, z_n)
+    z_n = spec.z_exact_ast
+    components = spec.components
+    if flip:
+        components = tuple(
+            SigmaComponent(c.sigma, None if c.y0 is None else (-c.y0) % 1.0,
+                           f"{c.label} (reflected)")
+            for c in components)
+    return NormalizedField(
+        spec, c1, c2, flip, Lattice(complex(tau)),
+        normalize_ast(spec.a_ast), normalize_ast(spec.b_ast, negate=flip),
+        None if z_n is None else normalize_ast(z_n), components)
 
 
 def coeff_eval(nf: NormalizedField, p) -> tuple[complex, complex]:

@@ -51,7 +51,7 @@ import numpy as np
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
                    lattice_distance)
 from .field import NormalizedField, ZEvaluator
-from .theta import ThetaContext, theta_context, theta_log_deriv_raw
+from .theta import ThetaContext, theta_log_deriv_raw
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
@@ -81,11 +81,13 @@ class KernelContext:
     theta: ThetaContext
     n: int
     refine_depth: int = 6
-    zeval: ZEvaluator = field(repr=False, default=None)
+    zeval: ZEvaluator = field(repr=False, init=False)
     # |a| + |b| at cell centers: the local Z-stretch of a cell
     coeff_size: np.ndarray = field(repr=False, init=False)
-    _qtw: np.ndarray = field(repr=False, default=None)
-    _wmat: np.ndarray = field(repr=False, default=None)
+    # singular-cell quadtree weight of every grid target, shape (n, n)
+    qt_weights: np.ndarray = field(repr=False, init=False)
+    # dense weight matrix, built on first use and only for n <= _MATRIX_MAX_N
+    _wmat: np.ndarray | None = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
         if self.n < 8:
@@ -93,11 +95,11 @@ class KernelContext:
         if not 2 <= self.refine_depth <= 12:
             raise HypotorusError(
                 f"refine_depth must lie in [2, 12], got {self.refine_depth}")
-        if self.zeval is None:
-            self.zeval = ZEvaluator(self.nf, self.n)
+        self.zeval = ZEvaluator(self.nf, self.n)
         x, y = grid_centers(self.n)
         self.coeff_size = (np.abs(self.nf.a(x, y))
                            + np.abs(self.nf.b(x, y))).astype(float)
+        self.qt_weights = _qt_weights(self)
 
     @property
     def tau(self) -> complex:
@@ -105,7 +107,7 @@ class KernelContext:
 
     @property
     def z0(self) -> complex:
-        return (1.0 + self.tau) / 2.0
+        return self.nf.lattice.zero_point
 
     @property
     def h(self) -> float:
@@ -135,7 +137,8 @@ class KernelContext:
 
 def kernel_context(nf: NormalizedField, n: int, refine_depth: int = 6,
                    theta_tol: float = 1e-14) -> KernelContext:
-    return KernelContext(nf, theta_context(nf.tau, theta_tol), n, refine_depth)
+    return KernelContext(nf, ThetaContext(nf.lattice, theta_tol), n,
+                         refine_depth)
 
 
 # ---------------------------------------------------------------- kernel
@@ -247,8 +250,6 @@ def _singular_squares(rx: float, ry: float, depth: int):
 def _qt_weights(ctx: KernelContext) -> np.ndarray:
     """Singular-cell quadtree weight (the kernel integrated over the
     target's own cell, deepest block dropped) for every grid target."""
-    if ctx._qtw is not None:
-        return ctx._qtw
     h = ctx.h
     x, y = grid_centers(ctx.n)
     zc = ctx.z_centers
@@ -260,8 +261,7 @@ def _qt_weights(ctx: KernelContext) -> np.ndarray:
         for ox, oy, s in zip(*_singular_squares(0.0, 0.0, int(depth))):
             zs = ctx.zeval.at(xs + ox * h, ys + oy * h)
             acc[:, cols] += _kt(ctx, zt - zs + ctx.z0) * (s * s)
-    ctx._qtw = acc * (h * h)
-    return ctx._qtw
+    return acc * (h * h)
 
 
 def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
@@ -272,15 +272,14 @@ def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
     zt = ctx.z_centers.ravel()[r0:r1]
     rows = _kernel_rows(ctx, zt, local, t)
     rows *= ctx.h * ctx.h / (2.0j * np.pi)
-    rows[local, t] += _qt_weights(ctx).ravel()[r0:r1] / (2.0j * np.pi)
+    rows[local, t] += ctx.qt_weights.ravel()[r0:r1] / (2.0j * np.pi)
     return rows
 
 
 def _run_row_blocks(ctx: KernelContext, fn):
     """Call fn on blocks (r0, r1) covering all flat grid targets, on
-    thread_count() threads.  The cached quadtree weights are filled first,
-    so the threads only read shared state."""
-    _qt_weights(ctx)
+    thread_count() threads.  The context is complete when it is made, so
+    the threads only read shared state."""
     total = ctx.n * ctx.n
     size = max(64, 1_048_576 // total)
     blocks = [(r, min(r + size, total)) for r in range(0, total, size)]

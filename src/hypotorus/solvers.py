@@ -120,8 +120,7 @@ def lattice_project(nu: complex, lattice: Lattice, tol: float = 1e-6):
 
 # ----------------------------------------------------------------- Lu = f
 
-def solve_f(ctx: KernelContext, f: GridFunction,
-            band: float | None = None) -> SolveReport:
+def solve_f(ctx: KernelContext, f: GridFunction) -> SolveReport:
     """Lu = f is solvable iff f has zero mean; then u = T f works and any
     other solution differs by a constant."""
     m = mean_integral(f)
@@ -134,7 +133,7 @@ def solve_f(ctx: KernelContext, f: GridFunction,
             notes=f"mean(f) = {m:.6e} exceeds gate {gate:.2e}; "
                   "a doubly periodic solution cannot exist")
     u = t_omega(ctx, f)
-    rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), f, band)
+    rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), f)
     offs = _boundary_offsets(ctx, f)
     return SolveReport(
         solvable="yes", u=u, j=None, k=None, nu=None,
@@ -160,7 +159,6 @@ def _lattice_tols(values: np.ndarray, nu_scale: float,
 
 
 def solve_a(ctx: KernelContext, a_fn: GridFunction,
-            band: float | None = None,
             lattice_tol: float = 1e-6) -> SolveReport:
     """Lu = Au is solvable iff nu(A) lies on the lattice; then
     u = exp(T A - 2pi i k Z) is a nonvanishing doubly periodic solution."""
@@ -183,7 +181,7 @@ def solve_a(ctx: KernelContext, a_fn: GridFunction,
     u_raw = np.exp(expo)
     u = GridFunction(ctx.n, u_raw / np.abs(u_raw).max())
     rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u),
-                          GridFunction(ctx.n, a_fn.values * u.values), band)
+                          GridFunction(ctx.n, a_fn.values * u.values))
     offs = _boundary_offsets(ctx, a_fn)
     # Periodicity bookkeeping: under y -> y+1 the exponent moves by
     # -integral(A) - 2pi i k tau = 2pi i (j + k tau) - 2pi i k tau = 2pi i j,
@@ -269,8 +267,8 @@ def _k_order(k_max: int):
 
 def solve_ab(ctx: KernelContext, a_fn: GridFunction, b_fn: GridFunction,
              k_max: int = 3, damping: float = 0.5, max_iter: int = 200,
-             picard_tol: float = 1e-8, lattice_tol: float = 1e-6,
-             band: float | None = None) -> SolveReport:
+             picard_tol: float = 1e-8,
+             lattice_tol: float = 1e-6) -> SolveReport:
     """Search windings k = 0, +-1, ..., +-k_max for a Picard fixed point
     whose boundary offset is the lattice constant 2pi i (j - k tau); the
     first hit yields u = exp(2pi i k Z + v).
@@ -312,7 +310,7 @@ def solve_ab(ctx: KernelContext, a_fn: GridFunction, b_fn: GridFunction,
         u = GridFunction(ctx.n, u_raw / np.abs(u_raw).max())
         rhs = GridFunction(ctx.n, a_fn.values * u.values
                            + b_fn.values * np.conj(u.values))
-        rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), rhs, band)
+        rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), rhs)
         return SolveReport(
             solvable="yes", u=u, j=int(j), k=k, nu=z,
             residual_sup=rep.sup_norm, residual_l2=rep.l2_norm,

@@ -13,7 +13,6 @@ overflows for moderate lattice shifts.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -71,21 +70,15 @@ class ThetaContext:
 
     lattice: Lattice
     tol: float = 1e-14
-    m_max: int = 0
-
+    m_max: int = field(init=False)
     # per-term update factors e^{i*pi*(2m-1)*tau}, m = 1..m_max
-    _rho: np.ndarray = field(default=None, repr=False)
+    _rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.tol <= 1e-6):
             raise HypotorusError(
                 f"theta tolerance must lie in (0, 1e-6], got {self.tol}")
-        needed = truncation_terms(self.lattice.tau, self.tol)
-        if self.m_max == 0:
-            self.m_max = needed
-        elif self.m_max < needed:
-            raise HypotorusError(
-                f"m_max={self.m_max} below required {needed}")
+        self.m_max = truncation_terms(self.lattice.tau, self.tol)
         m = np.arange(1, self.m_max + 1)
         self._rho = np.exp(1j * math.pi * (2 * m - 1) * self.lattice.tau)
 

@@ -61,6 +61,7 @@ def test_load_config_defaults(tmp_path):
     ({"kernel": {"refine_depth": 1}}, "/kernel/refine_depth"),
     ({"theta": {"tol": 0.5}}, "/theta/tol"),
     ({"bogus": 1}, "/bogus"),
+    ({"theta": {"tol": 1e-3}}, "/theta/tol"),
 ])
 def test_load_config_pointers(tmp_path, patch, pointer):
     base = {"field": {"builtin": "elliptic"}, "equation": "f",

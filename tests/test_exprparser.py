@@ -66,6 +66,22 @@ def test_power_binds_tighter_than_mul():
     assert v == pytest.approx(18.0)
 
 
+def test_unary_minus_applies_to_the_whole_power():
+    assert ep.eval_expr(ep.parse_expr("-x^2"), 3.0, 0.0) == pytest.approx(-9.0)
+    assert ep.eval_expr(ep.parse_expr("-2^2"), 0, 0) == pytest.approx(-4.0)
+    assert ep.eval_expr(ep.parse_expr("2*-x^2"), 3.0, 0.0) == (
+        pytest.approx(-18.0))
+    assert ep.eval_expr(ep.parse_expr("(-x)^2"), 3.0, 0.0) == (
+        pytest.approx(9.0))
+
+
+def test_negated_power_survives_print_parse():
+    ast = ep.Neg(ep.Pow(ep.BinOp("+", ep.Var("x"), ep.Const(1 + 0j)), 2))
+    back = ep.parse_expr(ep.to_string(ast))
+    assert ep.eval_expr(ast, 1.0, 0.0) == pytest.approx(-4.0)
+    assert ep.eval_expr(back, 1.0, 0.0) == pytest.approx(-4.0)
+
+
 def test_left_associativity():
     assert ep.eval_expr(ep.parse_expr("8/4/2"), 0, 0) == pytest.approx(1.0)
     assert ep.eval_expr(ep.parse_expr("8-4-2"), 0, 0) == pytest.approx(2.0)

@@ -125,7 +125,7 @@ def test_zevaluator_exact_vs_quadrature(nf_deg_sin2):
     expression, and accumulated cell-by-cell quadrature."""
     nf = nf_deg_sin2
     ze_exact = ZEvaluator(nf, 16)
-    ze_quad = ZEvaluator(dataclasses.replace(nf, z_n_src=None), 16)
+    ze_quad = ZEvaluator(dataclasses.replace(nf, z_exact_ast=None), 16)
     assert np.max(np.abs(ze_exact.centers - ze_quad.centers)) < 1e-9
     rng = np.random.default_rng(23)
     pts = rng.uniform(-1.0, 2.0, (40, 2))

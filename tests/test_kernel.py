@@ -14,7 +14,16 @@ from hypotorus import (
 )
 from hypotorus import exprparser as ep
 from hypotorus import kernel as kn
-from hypotorus.core import lattice_distance
+from hypotorus.core import grid_centers, lattice_distance
+from hypotorus.field import (FieldSpec, SigmaComponent, build_field,
+                             coeff_grid, normalize)
+from hypotorus.solvers import solve_a
+
+# a field depending on x with no z_exact, so Z comes from quadrature
+NO_Z_EXACT = FieldSpec(
+    "custom", "1 + 0.1*pi*cos(2*pi*x)*sin(pi*y)^2",
+    "0.1*pi*sin(2*pi*x)*sin(pi*y)*cos(pi*y) + i*sin(pi*y)^2", None,
+    (SigmaComponent(2.0, 0.0, "y=0"),))
 
 
 def test_ring_offsets_geometry():
@@ -243,3 +252,28 @@ def test_grid_mismatch(ctx_elliptic_16):
         t_omega(ctx_elliptic_16, g)
     with pytest.raises(HypotorusError):
         t_omega_point(ctx_elliptic_16, g, (0.3, 0.3))
+
+
+def test_nothing_parses_after_construction(monkeypatch):
+    x, y = grid_centers(16)
+    g = GridFunction.from_callable(
+        16, lambda x, y: np.exp(2j * np.pi * (x + y)))
+    ctxs = []
+    for spec in (build_field("degenerate_sin2"), NO_Z_EXACT):
+        nf = normalize(spec)
+        a, b = coeff_grid(nf, 16)
+        # A = L w for w = 0.1 sin(2 pi x) cos(2 pi y)
+        wx = 0.2 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        wy = -0.2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+        a_fn = GridFunction(16, b * wx - a * wy)
+        ctxs.append((kernel_context(nf, 16), a_fn))
+
+    def refuse(src):
+        raise AssertionError(f"parsed {src!r} after construction")
+
+    monkeypatch.setattr(ep, "parse_expr", refuse)
+    for ctx, a_fn in ctxs:
+        operator_matrix(ctx)
+        t_omega(ctx, g)
+        t_omega_point(ctx, g, (0.3, 0.7))
+        assert solve_a(ctx, a_fn).solvable == "yes"
