@@ -22,7 +22,7 @@ from . import exprparser as ep
 from .core import GridFunction, HypotorusError, grid_centers
 from .field import (BUILTIN_NAMES, FieldSpec, SigmaComponent, build_field,
                     char_set_info, coeff_grid, normalize, parse_sigma_hint)
-from .kernel import kernel_context, t_omega, t_omega_point
+from .kernel import _MATRIX_MAX_N, kernel_context, t_omega, t_omega_point
 from .solvers import mean_integral, solve_a, solve_ab, solve_f
 from .theta import theta_context, theta_eval
 from .verify import (ResidualReport, apply_l_fd, convergence_study,
@@ -175,6 +175,16 @@ def _rhs_from_config(obj, path, equation) -> dict:
     return out
 
 
+def _ab_size_error(equation: str, n: int) -> str | None:
+    """Why an `ab` solve at grid size n is refused, or None if it is not."""
+    if equation == "ab" and n > _MATRIX_MAX_N:
+        return (f"equation 'ab' needs grid_n <= {_MATRIX_MAX_N}, got {n}: "
+                f"above it the weight matrix is not cached, so each of the "
+                f"solve's Picard steps streams the whole O(n^4) operator "
+                f"again")
+    return None
+
+
 def load_config(path: str) -> CaseConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -197,6 +207,9 @@ def load_config(path: str) -> CaseConfig:
     if "rhs" not in raw:
         raise ConfigError("/rhs", "required")
     rhs = _rhs_from_config(raw["rhs"], "/rhs", equation)
+    ab_error = _ab_size_error(equation, grid_n)
+    if ab_error:
+        raise ConfigError("/grid_n", ab_error)
 
     solver = dict(_SOLVER_DEFAULTS)
     sobj = raw.get("solver", {})
@@ -432,6 +445,10 @@ def _cmd_convergence(args) -> int:
     except ValueError as exc:
         raise HypotorusError(
             f"cannot parse --sizes {args.sizes!r}") from exc
+    for n in sizes:
+        ab_error = _ab_size_error(cfg.equation, n)
+        if ab_error:
+            raise HypotorusError(f"--sizes: {ab_error}")
     verdicts = []
 
     def case(n: int) -> ResidualReport:

@@ -61,9 +61,6 @@ class Lattice:
         # the unique zero of the theta factor inside the fundamental cell
         return (1.0 + self.tau) / 2.0
 
-    def reduce(self, z: complex) -> tuple[complex, int, int]:
-        return lattice_reduce(z, self.tau)
-
 
 def lattice_reduce(z: complex, tau: complex):
     """Split z = w + j + k*tau with w = s + t*tau, s,t in [0,1).
@@ -89,6 +86,13 @@ def lattice_reduce(z: complex, tau: complex):
 def lattice_distance(z, tau: complex) -> np.ndarray:
     """Distance from each z to the nearest lattice point j + k*tau."""
     w, _, _ = lattice_reduce(z, tau)
+    return reduced_lattice_distance(w, tau)
+
+
+def reduced_lattice_distance(w, tau: complex) -> np.ndarray:
+    """lattice_distance for w already reduced to lattice coordinates in
+    [-1, 1): the distance to the nearest of the nine points j + k*tau with
+    |j|, |k| <= 1, with no second reduction."""
     d = np.abs(w)
     for dj in (-1, 0, 1):
         for dk in (-1, 0, 1):

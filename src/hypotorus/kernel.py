@@ -33,6 +33,10 @@ s* = p mod 1 has three parts:
   split vanishes identically.  Targets within 2/n of a declared degenerate
   circle get extra levels, matching the locally worse pole there.
 
+Each kernel argument arg = Z(p) - Z(s) is lattice-reduced once, as
+arg + z0 = w + j + k*tau: theta_log_deriv_raw at (w, k) is the kernel
+value, and the scan of w - z0 is the pole distance that decides refinement.
+
 For grid targets the quadtree weight lands on the diagonal of the weight
 matrix W.  Up to n = _MATRIX_MAX_N the finished rows of W are cached on the
 context and every apply is one matrix product; above it W would not fit in
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
-                   lattice_distance)
+                   lattice_reduce, reduced_lattice_distance)
 from .field import NormalizedField, ZEvaluator
 from .theta import ThetaContext, theta_log_deriv_raw
 
@@ -152,16 +156,24 @@ def kernel_m(ctx: KernelContext, p, s) -> complex:
     pp, ss = as_point(p), as_point(s)
     zp = complex(ctx.zeval.at(pp.x, pp.y))
     zs = complex(ctx.zeval.at(ss.x, ss.y))
-    diff = np.asarray(zs - zp)
-    if float(lattice_distance(diff, ctx.tau)) < 1e-12:
+    w, k = _reduce(ctx, zs - zp)
+    if float(_pole_distance(ctx, w)) < 1e-12:
         raise HypotorusError(
             "kernel is singular: source and target coincide on the torus")
-    return complex(theta_log_deriv_raw(ctx.theta, diff + ctx.z0))
+    return complex(theta_log_deriv_raw(ctx.theta, w, k))
 
 
-def _kt(ctx: KernelContext, args: np.ndarray) -> np.ndarray:
-    """Transposed-kernel values: theta log-derivative at Z(p) - Z(s) + z0."""
-    return theta_log_deriv_raw(ctx.theta, args)
+def _reduce(ctx: KernelContext, arg):
+    """(w, k) with arg + z0 = w + j + k*tau and w in the fundamental cell:
+    the one reduction of a kernel argument arg = Z(p) - Z(s)."""
+    w, _, k = lattice_reduce(arg + ctx.z0, ctx.tau)
+    return w, k
+
+
+def _pole_distance(ctx: KernelContext, w) -> np.ndarray:
+    """Distance of arg from the lattice, for (w, k) = _reduce(ctx, arg):
+    w - z0 is congruent to arg, with lattice coordinates in [-1/2, 1/2)."""
+    return reduced_lattice_distance(w - ctx.z0, ctx.tau)
 
 
 # ------------------------------------------------ adaptive cell quadrature
@@ -181,15 +193,16 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
     zt_sq = np.asarray(zt, dtype=complex).copy()
     for level in range(MAX_LEVEL + 1):
         zs = ctx.zeval.at(mx, my)
-        arg = zt_sq - zs
-        d = lattice_distance(arg, ctx.tau)
-        w = np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my))
-        split = (side * w >= KAPPA * d) & (level < MAX_LEVEL)
+        w, k = _reduce(ctx, zt_sq - zs)
+        d = _pole_distance(ctx, w)
+        size = np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my))
+        split = (side * size >= KAPPA * d) & (level < MAX_LEVEL)
         if len(mx) > _SQUARE_BUDGET:
             split[:] = False
         leaf = ~split
         if np.any(leaf):
-            vals = _kt(ctx, arg[leaf] + ctx.z0) * side[leaf] ** 2
+            vals = (theta_log_deriv_raw(ctx.theta, w[leaf], k[leaf])
+                    * side[leaf] ** 2)
             np.add.at(out, pair[leaf], vals)
         if not np.any(split):
             break
@@ -213,9 +226,9 @@ def _kernel_rows(ctx: KernelContext, zt: np.ndarray, sing_r,
     value.  Multiplying by h^2 and a density sample gives that cell's
     contribution to the integral."""
     h = ctx.h
-    arg = zt[:, None] - ctx.z_centers.ravel()[None, :]
-    rows = _kt(ctx, arg + ctx.z0)
-    dist = lattice_distance(arg, ctx.tau)
+    w, k = _reduce(ctx, zt[:, None] - ctx.z_centers.ravel()[None, :])
+    rows = theta_log_deriv_raw(ctx.theta, w, k)
+    dist = _pole_distance(ctx, w)
     rows[sing_r, sing_c] = 0.0
     dist[sing_r, sing_c] = np.inf
     flag = dist < (h / KAPPA) * ctx.coeff_size.ravel()[None, :]
@@ -260,7 +273,8 @@ def _qt_weights(ctx: KernelContext) -> np.ndarray:
         xs, ys, zt = x[:, cols], y[:, cols], zc[:, cols]
         for ox, oy, s in zip(*_singular_squares(0.0, 0.0, int(depth))):
             zs = ctx.zeval.at(xs + ox * h, ys + oy * h)
-            acc[:, cols] += _kt(ctx, zt - zs + ctx.z0) * (s * s)
+            vals = theta_log_deriv_raw(ctx.theta, *_reduce(ctx, zt - zs))
+            acc[:, cols] += vals * (s * s)
     return acc * (h * h)
 
 
@@ -368,6 +382,6 @@ def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
     for (i, ox, j, oy) in sing:
         qx, qy, side = _singular_squares(ox, oy, depth)
         zs = ctx.zeval.at((i + 0.5 + qx) * h, (j + 0.5 + qy) * h)
-        vals = _kt(ctx, zp - zs + ctx.z0)
+        vals = theta_log_deriv_raw(ctx.theta, *_reduce(ctx, zp - zs))
         total += np.sum(vals * side * side) * (h * h) * gv[i, j]
     return complex(total / (2.0j * np.pi))

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HypotorusError, Lattice, lattice_distance, lattice_reduce
+from .core import (HypotorusError, Lattice, lattice_reduce,
+                   reduced_lattice_distance)
 
 
 class PoleProximityError(HypotorusError):
@@ -143,21 +144,18 @@ def theta_log_deriv(ctx: ThetaContext, z) -> complex:
     stable for arbitrarily large arguments.  Raises PoleProximityError
     within 1e-13 of a zero of Theta.
     """
-    w, j, k = lattice_reduce(z, ctx.lattice.tau)
-    if np.any(lattice_distance(w - ctx.zero_point, ctx.lattice.tau) < 1e-13):
+    w, _, k = lattice_reduce(z, ctx.lattice.tau)
+    if np.any(reduced_lattice_distance(w - ctx.zero_point,
+                                       ctx.lattice.tau) < 1e-13):
         raise PoleProximityError("argument within 1e-13 of a theta zero")
-    s0, s1 = _series_pair(ctx, w)
-    out = s1 / s0 - 2j * math.pi * np.asarray(k)
+    out = theta_log_deriv_raw(ctx, w, k)
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def theta_log_deriv_raw(ctx: ThetaContext, z: np.ndarray) -> np.ndarray:
-    """Vectorized Theta'/Theta without the pole-distance guard.
-
-    Quadrature callers keep their nodes a provable distance from the zeros;
-    skipping the nine-translate distance scan there saves a third of the
-    kernel evaluation cost.
-    """
-    w, j, k = lattice_reduce(z, ctx.lattice.tau)
+def theta_log_deriv_raw(ctx: ThetaContext, w, k) -> np.ndarray:
+    """Theta'/Theta(w) - 2*pi*i*k, the value at w + j + k*tau, for w that
+    lattice_reduce has already put in the fundamental cell.  w is summed as
+    given, with no second reduction and no pole-distance guard; every kernel
+    value of the operator comes from this function."""
     s0, s1 = _series_pair(ctx, w)
     return s1 / s0 - 2j * math.pi * k

@@ -62,6 +62,8 @@ def test_load_config_defaults(tmp_path):
     ({"theta": {"tol": 0.5}}, "/theta/tol"),
     ({"bogus": 1}, "/bogus"),
     ({"theta": {"tol": 1e-3}}, "/theta/tol"),
+    ({"equation": "ab", "rhs": {"A": "1", "B": "0.1"}, "grid_n": 96},
+     "/grid_n"),
 ])
 def test_load_config_pointers(tmp_path, patch, pointer):
     base = {"field": {"builtin": "elliptic"}, "equation": "f",
@@ -223,6 +225,19 @@ def test_convergence_command(tmp_path, capsys):
         cli.main(["convergence", "--config", cfg])  # --sizes is required
     rc = cli.main(["convergence", "--config", cfg, "--sizes", "16,banana"])
     assert rc == cli.EXIT_ERROR
+
+
+def test_convergence_rejects_ab_sizes_above_matrix_cache(tmp_path,
+                                                        monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, {
+        "field": {"builtin": "degenerate_sin2"}, "grid_n": 32,
+        "equation": "ab", "rhs": {"A": "1", "B": "0.1"}})
+    calls = []
+    monkeypatch.setattr(cli, "_run_solve", lambda *a: calls.append(a))
+    rc = cli.main(["convergence", "--config", cfg, "--sizes", "32,96"])
+    assert rc == cli.EXIT_ERROR
+    assert calls == []
+    assert "grid_n <= 80" in capsys.readouterr().err
 
 
 def test_outputs_identical_across_thread_counts(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypotorus import (
     t_omega,
     t_omega_point,
 )
+from hypotorus import core
 from hypotorus import exprparser as ep
 from hypotorus import kernel as kn
 from hypotorus.core import grid_centers, lattice_distance
@@ -202,6 +204,22 @@ def test_threaded_build_counts_expression_points_once(nf_elliptic,
     assert want > 0
     for _ in range(3):
         assert points_in_build("2") == want
+
+
+def test_far_field_block_is_reduced_once(nf_elliptic, monkeypatch):
+    # n=16 is one row block of 256 targets by 256 cells
+    original, shapes = core.lattice_reduce, []
+
+    def recording(z, tau):
+        shapes.append(np.shape(z))
+        return original(z, tau)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hypotorus") and hasattr(mod, "lattice_reduce"):
+            monkeypatch.setattr(mod, "lattice_reduce", recording)
+    monkeypatch.setenv("HYPOTORUS_THREADS", "1")
+    operator_matrix(kernel_context(nf_elliptic, 16))
+    assert shapes.count((256, 256)) == 1
 
 
 def test_lattice_dist(ctx_elliptic_16):
