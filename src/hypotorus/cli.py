@@ -392,10 +392,8 @@ _CHECK_PROBES = (("1", "1"),
 
 def _cmd_operator_check(args) -> int:
     cfg = load_config(args.config)
-    nf = normalize(cfg.spec)
     n = cfg.grid_n
-    ctx = kernel_context(nf, n, refine_depth=cfg.refine_depth,
-                         theta_tol=cfg.theta_tol)
+    nf, ctx, _ = _assemble_case(cfg, n)
     ok = True
     for src, label in _CHECK_PROBES:
         g = GridFunction(n, _grid_expr(src, n))

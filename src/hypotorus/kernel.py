@@ -18,11 +18,11 @@ s* = p mod 1 has three parts:
 * Refined cells: a cell is refined adaptively whenever its image under the
   first integral is large relative to its distance from the kernel pole:
   sub-squares split while side*(|a|+|b|) >= KAPPA * dist(Z(p) - Z(mid),
-  lattice).  This covers both the ordinary neighbors of the singular cell
-  and the cells hugging a degenerate circle, where the first integral
-  compresses distances so strongly that the pole is felt at points far
-  from s* in grid metric (the near-circle mirror of the target, for
-  instance).  The refined cell average replaces the midpoint sample.
+  lattice), down to MAX_LEVEL.  This covers both the ordinary neighbors of
+  the singular cell and the cells hugging a degenerate circle, where the
+  first integral compresses distances so strongly that the pole is felt at
+  points far from s* in grid metric (the near-circle mirror of the target,
+  for instance).  The refined cell average replaces the midpoint sample.
 
 * Singular quadtree: each singular cell freezes the density at its own
   sample and integrates the kernel alone over a dyadic quadtree that
@@ -38,9 +38,11 @@ arg + z0 = w + j + k*tau: theta_log_deriv_raw at (w, k) is the kernel
 value, and the scan of w - z0 is the pole distance that decides refinement.
 
 For grid targets the quadtree weight lands on the diagonal of the weight
-matrix W.  Up to n = _MATRIX_MAX_N the finished rows of W are cached on the
-context and every apply is one matrix product; above it W would not fit in
-memory, so each apply streams the same rows block by block.
+matrix W.  Rows are built in blocks of _ROW_BLOCK targets, refinement
+included; a block bounds memory only, so W does not depend on it.  Up to
+n = _MATRIX_MAX_N the finished rows of W are cached on the context and every
+apply is one matrix product; above it W would not fit in memory, so each
+apply streams the same rows block by block.
 """
 
 from __future__ import annotations
@@ -54,13 +56,13 @@ import numpy as np
 
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
                    lattice_reduce, reduced_lattice_distance)
-from .field import NormalizedField, ZEvaluator
+from .field import NormalizedField, ZEvaluator, char_set_info
 from .theta import ThetaContext, theta_log_deriv_raw
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
 _MATRIX_MAX_N = 80  # above this the n^4 weight matrix would not fit in RAM
-_SQUARE_BUDGET = 500_000  # per-batch guard against runaway refinement
+_ROW_BLOCK = 64     # target rows per block; bounds memory, never a value
 
 
 def thread_count() -> int:
@@ -99,6 +101,9 @@ class KernelContext:
         if not 2 <= self.refine_depth <= 12:
             raise HypotorusError(
                 f"refine_depth must lie in [2, 12], got {self.refine_depth}")
+        if not char_set_info(self.nf).sign_fixed:
+            raise HypotorusError("orientation is not fixed: Im(a*conj(b)) "
+                                 "takes both signs on the torus")
         self.zeval = ZEvaluator(self.nf, self.n)
         x, y = grid_centers(self.n)
         self.coeff_size = (np.abs(self.nf.a(x, y))
@@ -197,8 +202,6 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
         d = _pole_distance(ctx, w)
         size = np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my))
         split = (side * size >= KAPPA * d) & (level < MAX_LEVEL)
-        if len(mx) > _SQUARE_BUDGET:
-            split[:] = False
         leaf = ~split
         if np.any(leaf):
             vals = (theta_log_deriv_raw(ctx.theta, w[leaf], k[leaf])
@@ -295,15 +298,14 @@ def _run_row_blocks(ctx: KernelContext, fn):
     thread_count() threads.  The context is complete when it is made, so
     the threads only read shared state."""
     total = ctx.n * ctx.n
-    size = max(64, 1_048_576 // total)
-    blocks = [(r, min(r + size, total)) for r in range(0, total, size)]
+    blocks = [(r, min(r + _ROW_BLOCK, total))
+              for r in range(0, total, _ROW_BLOCK)]
     threads = thread_count()
-    if threads == 1 or len(blocks) == 1:
-        for b in blocks:
-            fn(b)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, blocks))
+    if threads == 1:
+        list(map(fn, blocks))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fn, blocks))
 
 
 def operator_matrix(ctx: KernelContext) -> np.ndarray:

@@ -213,6 +213,21 @@ def test_field_info_custom_flipped(tmp_path, capsys):
     assert "y-axis flipped: True" in capsys.readouterr().out
 
 
+def test_unfixed_orientation_is_refused(tmp_path, capsys):
+    # Im(a*conj(b)) = 0.2 + sin(2*pi*y) takes both signs, which the paper's
+    # hypotheses exclude; field-info still diagnoses the field
+    cfg = write_cfg(tmp_path, {
+        "field": {"a": "1", "b": "i*(0.2+sin(2*pi*y))"}, "grid_n": 16,
+        "equation": "f", "rhs": {"f": "sin(2*pi*x)"}})
+    assert cli.main(["field-info", "--config", cfg]) == 0
+    assert "orientation fixed: False" in capsys.readouterr().out
+    for argv in (["solve", "--out-prefix", str(tmp_path / "u")],
+                 ["operator-check"], ["convergence", "--sizes", "16,32"]):
+        assert cli.main(argv + ["--config", cfg]) == cli.EXIT_ERROR
+        assert "orientation is not fixed" in capsys.readouterr().err
+    assert not (tmp_path / "u.report.json").exists()
+
+
 def test_convergence_command(tmp_path, capsys):
     cfg = elliptic_f_cfg(tmp_path)
     rc = cli.main(["convergence", "--config", cfg, "--sizes", "16,32"])

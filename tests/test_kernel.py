@@ -168,20 +168,36 @@ def test_streamed_matches_matrix_path(nf_elliptic, nf_deg_sin2,
         assert np.max(np.abs(got.values - want.values)) < 1e-12
 
 
-def test_threaded_run_is_deterministic(nf_elliptic, monkeypatch):
+def test_threaded_run_is_deterministic(nf_elliptic, nf_deg_sin2,
+                                       monkeypatch):
+    # n=16 is four row blocks, so four threads really share the work;
+    # degenerate_sin2 puts refined rows next to its circle into the run
     g = GridFunction.from_callable(
         16, lambda x, y: np.exp(2j * np.pi * (x - y)))
     monkeypatch.setattr(kn, "_MATRIX_MAX_N", 8)  # force the blocked path
-    monkeypatch.setenv("HYPOTORUS_THREADS", "1")
-    one = t_omega(kernel_context(nf_elliptic, 16), g)
-    monkeypatch.setenv("HYPOTORUS_THREADS", "4")
-    four = t_omega(kernel_context(nf_elliptic, 16), g)
-    assert np.array_equal(one.values, four.values)
+    for nf in (nf_elliptic, nf_deg_sin2):
+        monkeypatch.setenv("HYPOTORUS_THREADS", "1")
+        one = t_omega(kernel_context(nf, 16), g)
+        monkeypatch.setenv("HYPOTORUS_THREADS", "4")
+        four = t_omega(kernel_context(nf, 16), g)
+        assert np.array_equal(one.values, four.values)
+
+
+@pytest.mark.parametrize("name", ["nf_deg_sin2", "nf_deg_2d"])
+def test_weights_do_not_depend_on_row_blocks(name, request):
+    # refinement next to the degenerate circles is never cut short, so rows
+    # built 32 or all 1024 at a time equal the dense build's 64-row blocks
+    ctx = kernel_context(request.getfixturevalue(name), 32)
+    want = operator_matrix(ctx)
+    for size in (32, 1024):
+        got = np.vstack([kn._operator_rows(ctx, r, r + size)
+                         for r in range(0, 1024, size)])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_threaded_build_counts_expression_points_once(nf_elliptic,
                                                      monkeypatch):
-    # elliptic at n=48 has 6 row blocks; two threads must not both fill a
+    # elliptic at n=48 has 36 row blocks; two threads must not both fill a
     # shared lazy cache, which would evaluate the same points twice
     lock = threading.Lock()
     count = [0]
@@ -207,7 +223,7 @@ def test_threaded_build_counts_expression_points_once(nf_elliptic,
 
 
 def test_far_field_block_is_reduced_once(nf_elliptic, monkeypatch):
-    # n=16 is one row block of 256 targets by 256 cells
+    # n=16 is four row blocks of 64 targets by 256 cells
     original, shapes = core.lattice_reduce, []
 
     def recording(z, tau):
@@ -219,7 +235,7 @@ def test_far_field_block_is_reduced_once(nf_elliptic, monkeypatch):
             monkeypatch.setattr(mod, "lattice_reduce", recording)
     monkeypatch.setenv("HYPOTORUS_THREADS", "1")
     operator_matrix(kernel_context(nf_elliptic, 16))
-    assert shapes.count((256, 256)) == 1
+    assert shapes.count((64, 256)) == 4
 
 
 def test_lattice_dist(ctx_elliptic_16):
