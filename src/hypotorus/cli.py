@@ -222,6 +222,11 @@ def load_config(path: str) -> CaseConfig:
                                      1e-8, 0.0, 1.0)
     solver["lattice_tol"] = _get_real(sobj, "/solver", "lattice_tol",
                                       1e-6, 0.0, 1.0)
+    if solver["lattice_tol"] >= 0.5:
+        raise ConfigError("/solver/lattice_tol",
+                          f"{solver['lattice_tol']} is not below 0.5: at "
+                          "half a lattice step every nu rounds onto the "
+                          "lattice")
     kobj = raw.get("kernel", {})
     _require_object(kobj, "/kernel")
     _reject_unknown(kobj, "/kernel", {"refine_depth"})

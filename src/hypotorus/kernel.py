@@ -12,8 +12,8 @@ One row engine serves every target, whether a grid center or an arbitrary
 point of the universal cover.  Its row for target p with singular point
 s* = p mod 1 has three parts:
 
-* Far field: the kernel at every cell center, with the cells whose closure
-  contains s* zeroed.
+* Far field: the kernel at the center of every cell whose closure does not
+  contain s*.
 
 * Refined cells: a cell is refined adaptively whenever its image under the
   first integral is large relative to its distance from the kernel pole:
@@ -37,9 +37,11 @@ Each kernel argument arg = Z(p) - Z(s) is lattice-reduced once, as
 arg + z0 = w + j + k*tau: theta_log_deriv_raw at (w, k) is the kernel
 value, and the scan of w - z0 is the pole distance that decides refinement.
 
-For grid targets the quadtree weight lands on the diagonal of the weight
-matrix W.  Rows are built in blocks of _ROW_BLOCK targets, refinement
-included; a block bounds memory only, so W does not depend on it.  Up to
+One function finishes the row of any target from its Z value and its
+singular cells: a grid target is singular in its own cell at the center, a
+point probe in the one to four cells whose closure holds it.  Rows are built
+in blocks of _ROW_BLOCK targets, refinement and singular cells included; a
+block bounds memory only, so W does not depend on it.  Up to
 n = _MATRIX_MAX_N the finished rows of W are cached on the context and every
 apply is one matrix product; above it W would not fit in memory, so each
 apply streams the same rows block by block.
@@ -90,8 +92,6 @@ class KernelContext:
     zeval: ZEvaluator = field(repr=False, init=False)
     # |a| + |b| at cell centers: the local Z-stretch of a cell
     coeff_size: np.ndarray = field(repr=False, init=False)
-    # singular-cell quadtree weight of every grid target, shape (n, n)
-    qt_weights: np.ndarray = field(repr=False, init=False)
     # dense weight matrix, built on first use and only for n <= _MATRIX_MAX_N
     _wmat: np.ndarray | None = field(repr=False, init=False, default=None)
 
@@ -108,7 +108,6 @@ class KernelContext:
         x, y = grid_centers(self.n)
         self.coeff_size = (np.abs(self.nf.a(x, y))
                            + np.abs(self.nf.b(x, y))).astype(float)
-        self.qt_weights = _qt_weights(self)
 
     @property
     def tau(self) -> complex:
@@ -126,22 +125,18 @@ class KernelContext:
     def z_centers(self) -> np.ndarray:
         return self.zeval.centers
 
-    def sigma_bump(self, y: float) -> int:
-        """Extra quadtree levels for targets within 2/n of a degenerate
-        circle."""
-        bump = 0
+    def quadtree_depth(self, y) -> np.ndarray:
+        """Singular-cell quadtree depth for targets at ordinates y:
+        refine_depth, plus extra levels within 2/n of a degenerate circle."""
+        y = np.asarray(y, dtype=float)
+        bump = np.zeros(y.shape, dtype=int)
         for comp in self.nf.components:
             if comp.y0 is None:
                 continue
-            d = abs((y - comp.y0 + 0.5) % 1.0 - 0.5)
-            if d <= 2.0 / self.n:
-                bump = max(bump, math.ceil(comp.sigma / 2.0))
-        return bump
-
-    def row_depths(self) -> np.ndarray:
-        ys = (np.arange(self.n) + 0.5) / self.n
-        return np.array(
-            [self.refine_depth + self.sigma_bump(y) for y in ys], dtype=int)
+            d = np.abs((y - comp.y0 + 0.5) % 1.0 - 0.5)
+            near = d <= 2.0 / self.n
+            bump[near] = np.maximum(bump[near], math.ceil(comp.sigma / 2.0))
+        return self.refine_depth + bump
 
 
 def kernel_context(nf: NormalizedField, n: int, refine_depth: int = 6,
@@ -221,27 +216,6 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
 
 # --------------------------------------------------------- row engine
 
-def _kernel_rows(ctx: KernelContext, zt: np.ndarray, sing_r,
-                 sing_c) -> np.ndarray:
-    """Far-field kernel rows for targets with first-integral values zt: the
-    kernel at every cell center, with the singular (row, cell) pairs zeroed
-    and adaptively refined cells replaced by their cell-averaged kernel
-    value.  Multiplying by h^2 and a density sample gives that cell's
-    contribution to the integral."""
-    h = ctx.h
-    w, k = _reduce(ctx, zt[:, None] - ctx.z_centers.ravel()[None, :])
-    rows = theta_log_deriv_raw(ctx.theta, w, k)
-    dist = _pole_distance(ctx, w)
-    rows[sing_r, sing_c] = 0.0
-    dist[sing_r, sing_c] = np.inf
-    flag = dist < (h / KAPPA) * ctx.coeff_size.ravel()[None, :]
-    if np.any(flag):
-        tloc, cols = np.nonzero(flag)
-        refined = _refined_cell_integrals(ctx, zt[tloc], cols)
-        rows[tloc, cols] = refined / (h * h)
-    return rows
-
-
 def _singular_squares(rx: float, ry: float, depth: int):
     """Evaluated squares of the singular cell's dyadic quadtree toward the
     point (rx, ry): x offsets, y offsets and sides, in units of h relative
@@ -263,34 +237,49 @@ def _singular_squares(rx: float, ry: float, depth: int):
             np.concatenate(out_side))
 
 
-def _qt_weights(ctx: KernelContext) -> np.ndarray:
-    """Singular-cell quadtree weight (the kernel integrated over the
-    target's own cell, deepest block dropped) for every grid target."""
-    h = ctx.h
-    x, y = grid_centers(ctx.n)
-    zc = ctx.z_centers
-    depths = ctx.row_depths()
-    acc = np.zeros_like(zc)
-    for depth in np.unique(depths):
-        cols = depths == depth
-        xs, ys, zt = x[:, cols], y[:, cols], zc[:, cols]
-        for ox, oy, s in zip(*_singular_squares(0.0, 0.0, int(depth))):
-            zs = ctx.zeval.at(xs + ox * h, ys + oy * h)
-            vals = theta_log_deriv_raw(ctx.theta, *_reduce(ctx, zt - zs))
-            acc[:, cols] += vals * (s * s)
-    return acc * (h * h)
+def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
+    """Finished operator rows for targets with first-integral values zt.
+
+    sing lists the singular pairs (row, cell, ox, oy, depth): the target of
+    that row lies in that flat source cell at offset (ox, oy) from its
+    center, in units of h.  Every other cell holds the kernel at its center,
+    or its refined cell average where flagged; each singular cell holds the
+    kernel integrated over its quadtree of that depth, deepest block
+    dropped.  The rows come scaled by h^2 / (2 pi i), ready to multiply a
+    grid density."""
+    n, h = ctx.n, ctx.h
+    w, k = _reduce(ctx, zt[:, None] - ctx.z_centers.ravel()[None, :])
+    rows = theta_log_deriv_raw(ctx.theta, w, k)
+    dist = _pole_distance(ctx, w)
+    groups = {}
+    for r, c, ox, oy, depth in sing:
+        dist[r, c] = np.inf
+        groups.setdefault((ox, oy, int(depth)), []).append((r, c))
+    flag = dist < (h / KAPPA) * ctx.coeff_size.ravel()[None, :]
+    if np.any(flag):
+        tloc, cols = np.nonzero(flag)
+        refined = _refined_cell_integrals(ctx, zt[tloc], cols)
+        rows[tloc, cols] = refined / (h * h)
+    for (ox, oy, depth), pairs in groups.items():
+        r, c = np.array(pairs).T
+        qx, qy, side = _singular_squares(ox, oy, depth)
+        zs = ctx.zeval.at((c[:, None] // n + 0.5 + qx) * h,
+                          (c[:, None] % n + 0.5 + qy) * h)
+        vals = theta_log_deriv_raw(ctx.theta,
+                                   *_reduce(ctx, zt[r, None] - zs))
+        # a per-pair sum, so no target depends on who shares its block
+        rows[r, c] = np.sum(vals * (side * side), axis=-1)
+    rows *= h * h / (2.0j * np.pi)
+    return rows
 
 
 def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
-    """Rows [r0, r1) of W: far-field rows times h^2 plus the quadtree weight
-    on the diagonal, scaled by 1/(2 pi i)."""
+    """Rows [r0, r1) of W: each grid target is singular in its own cell, at
+    the cell center."""
     t = np.arange(r0, r1)
-    local = np.arange(r1 - r0)
-    zt = ctx.z_centers.ravel()[r0:r1]
-    rows = _kernel_rows(ctx, zt, local, t)
-    rows *= ctx.h * ctx.h / (2.0j * np.pi)
-    rows[local, t] += ctx.qt_weights.ravel()[r0:r1] / (2.0j * np.pi)
-    return rows
+    depths = ctx.quadtree_depth((t % ctx.n + 0.5) / ctx.n)
+    sing = [(r, c, 0.0, 0.0, d) for r, (c, d) in enumerate(zip(t, depths))]
+    return _target_rows(ctx, ctx.z_centers.ravel()[r0:r1], sing)
 
 
 def _run_row_blocks(ctx: KernelContext, fn):
@@ -371,19 +360,11 @@ def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     pp = as_point(p)
-    n, h = ctx.n, ctx.h
+    n = ctx.n
     zp = complex(ctx.zeval.at(pp.x, pp.y))
-    sing = [(i, ox, j, oy) for (i, ox) in _axis_cells(pp.x, n)
+    depth = ctx.quadtree_depth(pp.y)
+    sing = [(0, i * n + j, ox, oy, depth)
+            for (i, ox) in _axis_cells(pp.x, n)
             for (j, oy) in _axis_cells(pp.y, n)]
-    cells = [i * n + j for (i, _, j, _) in sing]
-    row = _kernel_rows(ctx, np.array([zp]), 0, cells)[0]
-    gv = g.values
-    total = (row @ gv.ravel()) * (h * h)
-
-    depth = ctx.refine_depth + ctx.sigma_bump(pp.y)
-    for (i, ox, j, oy) in sing:
-        qx, qy, side = _singular_squares(ox, oy, depth)
-        zs = ctx.zeval.at((i + 0.5 + qx) * h, (j + 0.5 + qy) * h)
-        vals = theta_log_deriv_raw(ctx.theta, *_reduce(ctx, zp - zs))
-        total += np.sum(vals * side * side) * (h * h) * gv[i, j]
-    return complex(total / (2.0j * np.pi))
+    row = _target_rows(ctx, np.array([zp]), sing)[0]
+    return complex(row @ g.values.ravel())

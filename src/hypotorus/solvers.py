@@ -11,16 +11,18 @@ constant the kernel of L leaves free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridFunction, HypotorusError, Lattice
 from .kernel import KernelContext, t_omega, t_omega_point
-from .verify import apply_l_fd, residual_report
+from .verify import ResidualReport, apply_l_fd, residual_report
 
 OFFSET_SAMPLES = 8      # boundary abscissae for the offset-constancy probe
 MEAN_TOL = 1e-8         # relative gate on |mean f| for Lu = f solvability
+RESIDUAL_BOUND = 0.25   # a "yes" needs residual_sup <= this * (1 + sup|rhs|)
 
 
 @dataclass
@@ -107,8 +109,10 @@ def nu_of(ctx: KernelContext, a_fn: GridFunction) -> complex:
 def lattice_project(nu: complex, lattice: Lattice, tol: float = 1e-6):
     """Nearest lattice representation nu = j + k*tau, or None if nu is
     farther than tol from the lattice in each integer coordinate."""
-    if tol <= 0:
-        raise HypotorusError(f"lattice tolerance must be positive: {tol}")
+    if not 0 < tol < 0.5:
+        raise HypotorusError(
+            f"lattice tolerance must lie in (0, 0.5), got {tol}: at half a "
+            "lattice step every nu rounds onto the lattice")
     tau = complex(lattice.tau)
     k_real = nu.imag / tau.imag
     j_real = nu.real - k_real * tau.real
@@ -116,6 +120,19 @@ def lattice_project(nu: complex, lattice: Lattice, tol: float = 1e-6):
     if abs(j_real - j) <= tol and abs(k_real - k) <= tol:
         return (int(j), int(k))
     return None
+
+
+def _certified(rep: ResidualReport, rhs: GridFunction) -> tuple[str, str]:
+    """Verdict and note for a candidate solution: "yes" only when its FD
+    residual is small against the right-hand side, "inconclusive" when the
+    residual does not back the solution."""
+    bound = RESIDUAL_BOUND * (1.0 + rhs.sup_norm())
+    if rep.sup_norm <= bound:
+        return "yes", ""
+    return "inconclusive", (
+        f"; residual_sup {rep.sup_norm:.3e} exceeds {bound:.3e} = "
+        f"{RESIDUAL_BOUND} * (1 + sup|rhs|), so the solution is not "
+        "certified")
 
 
 # ----------------------------------------------------------------- Lu = f
@@ -134,13 +151,14 @@ def solve_f(ctx: KernelContext, f: GridFunction) -> SolveReport:
                   "a doubly periodic solution cannot exist")
     u = t_omega(ctx, f)
     rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), f)
+    verdict, cert_note = _certified(rep, f)
     offs = _boundary_offsets(ctx, f)
     return SolveReport(
-        solvable="yes", u=u, j=None, k=None, nu=None,
+        solvable=verdict, u=u, j=None, k=None, nu=None,
         residual_sup=rep.sup_norm, residual_l2=rep.l2_norm, iterations=0,
         offset_constancy=_offset_constancy(offs),
         notes=f"mean(f) = {m:.3e} within gate; solution is T f, "
-              "unique up to an additive constant")
+              "unique up to an additive constant" + cert_note)
 
 
 # ---------------------------------------------------------------- Lu = Au
@@ -150,7 +168,11 @@ def _lattice_tols(values: np.ndarray, nu_scale: float,
     """Exact tolerance for grid-constant data, quadrature-scaled otherwise;
     the note records both so reports show which mode applied."""
     exact = bool(np.ptp(values.real) == 0.0 and np.ptp(values.imag) == 0.0)
-    scaled = max(lattice_tol, 1e-2 * (1.0 + nu_scale))
+    # at half a lattice step every nu would round onto the lattice, so a
+    # large |nu| stops the scaled tolerance just below it and leaves the
+    # verdict to the residual bound
+    scaled = min(max(lattice_tol, 1e-2 * (1.0 + nu_scale)),
+                 math.nextafter(0.5, 0.0))
     if exact:
         return lattice_tol, (f"lattice tol {lattice_tol:.1e} (exact mode; "
                              f"scaled mode would be {scaled:.1e})")
@@ -180,17 +202,19 @@ def solve_a(ctx: KernelContext, a_fn: GridFunction,
     expo = v.values - two_pi_i * k * ctx.z_centers
     u_raw = np.exp(expo)
     u = GridFunction(ctx.n, u_raw / np.abs(u_raw).max())
-    rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u),
-                          GridFunction(ctx.n, a_fn.values * u.values))
+    rhs = GridFunction(ctx.n, a_fn.values * u.values)
+    rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), rhs)
+    verdict, cert_note = _certified(rep, rhs)
     offs = _boundary_offsets(ctx, a_fn)
     # Periodicity bookkeeping: under y -> y+1 the exponent moves by
     # -integral(A) - 2pi i k tau = 2pi i (j + k tau) - 2pi i k tau = 2pi i j,
     # and under x -> x+1 by 0, so exp(.) is doubly periodic by construction.
     return SolveReport(
-        solvable="yes", u=u, j=j, k=k, nu=nu,
+        solvable=verdict, u=u, j=j, k=k, nu=nu,
         residual_sup=rep.sup_norm, residual_l2=rep.l2_norm, iterations=0,
         offset_constancy=_offset_constancy(offs),
-        notes=nu_note + f"; exponent shifts: x+1 -> 0, y+1 -> 2*pi*i*{j}",
+        notes=(nu_note + f"; exponent shifts: x+1 -> 0, y+1 -> 2*pi*i*{j}"
+               + cert_note),
         v=v, k_sim=-k)
 
 
@@ -311,15 +335,16 @@ def solve_ab(ctx: KernelContext, a_fn: GridFunction, b_fn: GridFunction,
         rhs = GridFunction(ctx.n, a_fn.values * u.values
                            + b_fn.values * np.conj(u.values))
         rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), rhs)
+        verdict, cert_note = _certified(rep, rhs)
         return SolveReport(
-            solvable="yes", u=u, j=int(j), k=k, nu=z,
+            solvable=verdict, u=u, j=int(j), k=k, nu=z,
             residual_sup=rep.sup_norm, residual_l2=rep.l2_norm,
             iterations=state.iterations,
             offset_constancy=_offset_constancy(offs),
             notes=(f"winding k={k} accepted: delta_k/(2*pi*i) = {z:.8g} "
                    f"matches j - k*tau with j={j}; {tol_note}; "
                    f"nu field holds delta_k/(2*pi*i); "
-                   + "; ".join(trail)),
+                   + "; ".join(trail) + cert_note),
             v=state.v, k_sim=k)
     verdict = "inconclusive" if any_unconverged else "no"
     caveat = ("Picard iteration stalled for some windings"

@@ -24,8 +24,8 @@ def nf_perturbed():
     return normalize(build_field("analytic_perturbed"))
 
 
-# Contexts cache their quadrature weights and (for moderate n) the dense
-# operator matrix, so the expensive ones are shared across the whole run.
+# Contexts cache the dense operator matrix (for moderate n), so the
+# expensive ones are shared across the whole run.
 
 @pytest.fixture(scope="session")
 def ctx_elliptic_16(nf_elliptic):

@@ -64,6 +64,7 @@ def test_load_config_defaults(tmp_path):
     ({"theta": {"tol": 1e-3}}, "/theta/tol"),
     ({"equation": "ab", "rhs": {"A": "1", "B": "0.1"}, "grid_n": 96},
      "/grid_n"),
+    ({"solver": {"lattice_tol": 0.5}}, "/solver/lattice_tol"),
 ])
 def test_load_config_pointers(tmp_path, patch, pointer):
     base = {"field": {"builtin": "elliptic"}, "equation": "f",
@@ -162,6 +163,24 @@ def test_solve_inconclusive_exit(tmp_path):
     assert rc == cli.EXIT_INCONCLUSIVE
     report = json.loads((tmp_path / "stall.report.json").read_text())
     assert report["solvable"] == "inconclusive"
+
+
+def test_uncertified_yes_is_inconclusive(tmp_path):
+    # nu(A) = 15.9i is off the lattice, but the quadrature-scaled lattice
+    # tolerance grows with |nu| and rounds it on; the FD residual, as large
+    # as A*u itself, shows the solution is not one
+    cfg = write_cfg(tmp_path, {
+        "field": {"builtin": "elliptic"}, "grid_n": 16,
+        "equation": "a", "rhs": {"A": "100 + sin(2*pi*x)"}})
+    rc = cli.main(["solve", "--config", cfg,
+                   "--out-prefix", str(tmp_path / "big")])
+    assert rc == cli.EXIT_INCONCLUSIVE
+    report = json.loads((tmp_path / "big.report.json").read_text())
+    assert report["solvable"] == "inconclusive"
+    assert report["residual_sup"] > 50.0
+    assert "not certified" in report["notes"]
+    lines = (tmp_path / "big.u.csv").read_text().splitlines()
+    assert len(lines) == 1 + 16 * 16
 
 
 def test_solve_error_exit(tmp_path, capsys):

@@ -74,6 +74,18 @@ def test_context_validation(nf_elliptic):
     assert abs(ctx.z0 - (1 + 1j) / 2) < 1e-15
 
 
+def test_building_a_context_evaluates_no_kernel_value(nf_deg_sin2,
+                                                     monkeypatch):
+    # every kernel value, singular cells included, belongs to an operator
+    # row, so a context that is only probed never pays for a full build
+    def refuse(*args):
+        raise AssertionError("kernel evaluated while building a context")
+
+    monkeypatch.setattr(kn, "theta_log_deriv_raw", refuse)
+    ctx = kernel_context(nf_deg_sin2, 16)
+    assert ctx._wmat is None
+
+
 def test_kernel_m_lattice_shift(ctx_elliptic_16):
     ctx = ctx_elliptic_16
     rng = np.random.default_rng(31)
@@ -246,9 +258,10 @@ def test_lattice_dist(ctx_elliptic_16):
 
 
 def test_row_depths(ctx_elliptic_16, ctx_deg_sin2_32):
-    assert np.all(ctx_elliptic_16.row_depths() == 6)
-    depths = ctx_deg_sin2_32.row_depths()
+    ys16 = (np.arange(16) + 0.5) / 16
+    assert np.all(ctx_elliptic_16.quadtree_depth(ys16) == 6)
     ys = (np.arange(32) + 0.5) / 32
+    depths = ctx_deg_sin2_32.quadtree_depth(ys)
     near = np.abs((ys + 0.5) % 1.0 - 0.5) <= 2.0 / 32
     assert np.all(depths[near] == 7)
     assert np.all(depths[~near] == 6)

@@ -61,6 +61,42 @@ def test_lattice_project():
         lattice_project(0j, lat, tol=0.0)
 
 
+def test_lattice_project_refuses_half_a_step():
+    # at tol >= 1/2 every nu rounds onto the lattice
+    for tol in (0.5, 0.9):
+        with pytest.raises(HypotorusError):
+            lattice_project(0.5 + 0j, Lattice(1j), tol=tol)
+
+
+def test_residual_bound_gates_every_yes(ctx_elliptic_16, monkeypatch):
+    ctx = ctx_elliptic_16
+    f = GridFunction.from_callable(
+        16, lambda x, y: np.exp(TWO_PI_I * (x + y)))
+    a_fn = const_grid(16, -TWO_PI_I * ctx.tau)
+    solves = (lambda: solve_f(ctx, f), lambda: solve_a(ctx, a_fn),
+              lambda: solve_ab(ctx, a_fn, const_grid(16, 0), k_max=1))
+    for solve in solves:
+        assert solve().solvable == "yes"
+    # a residual above the bound leaves the solution uncertified; the
+    # report still carries it
+    monkeypatch.setattr(sv, "RESIDUAL_BOUND", 1e-9)
+    for solve in solves:
+        rep = solve()
+        assert rep.solvable == "inconclusive"
+        assert rep.u is not None and rep.residual_sup > 0.0
+        assert "not certified" in rep.notes
+
+
+def test_large_nu_is_left_to_the_residual(ctx_elliptic_16):
+    # nu(A) = 63.7i scales the lattice tolerance past half a step; the
+    # solve must still run, and its residual refuses the false solution
+    a_fn = GridFunction.from_callable(
+        16, lambda x, y: 400.0 + np.sin(2 * np.pi * x))
+    rep = solve_a(ctx_elliptic_16, a_fn)
+    assert rep.solvable == "inconclusive"
+    assert "quadrature-scaled" in rep.notes
+
+
 def test_report_invariants():
     with pytest.raises(HypotorusError):
         SolveReport(solvable="maybe", u=None, j=None, k=None, nu=None,
