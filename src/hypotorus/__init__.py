@@ -10,9 +10,8 @@ from .field import (BUILTIN_NAMES, FieldSpec, NormalizedField,
 from .kernel import (KernelContext, kernel_context, kernel_m, operator_matrix,
                      t_omega, t_omega_point)
 from .solvers import (FixedPointState, SolveReport, lattice_project,
-                      mean_integral, nu_estimates, nu_of, pk_apply,
-                      pk_fixed_point, similarity_check, solve_a, solve_ab,
-                      solve_f)
+                      mean_integral, nu_estimates, pk_apply, pk_fixed_point,
+                      similarity_check, solve_a, solve_ab, solve_f)
 from .theta import (PoleProximityError, ThetaContext, theta_context,
                     theta_deriv, theta_eval, theta_log_deriv)
 from .verify import (ResidualReport, apply_l_fd, convergence_study,
@@ -28,7 +27,7 @@ __all__ = [
     "ZEvaluator", "apply_l_fd", "build_field", "char_set_info",
     "convergence_study", "first_integral", "grid_centers", "kernel_context",
     "kernel_m", "lattice_project", "lattice_reduce", "mean_integral",
-    "normalize", "nu_estimates", "nu_of", "operator_matrix", "periods",
+    "normalize", "nu_estimates", "operator_matrix", "periods",
     "pk_apply", "pk_fixed_point", "regularity_from", "residual_report",
     "similarity_check", "solve_a", "solve_ab", "solve_f", "t_omega",
     "t_omega_point", "theta_context", "theta_deriv", "theta_eval",

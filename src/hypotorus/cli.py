@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -134,8 +135,13 @@ def _field_from_config(obj, path) -> FieldSpec:
         hint = item.get("hint", "")
         if not isinstance(hint, str):
             raise ConfigError(f"{ipath}/hint", "expected a string")
-        comps.append(SigmaComponent(sigma=float(sv),
-                                    y0=parse_sigma_hint(hint),
+        y0 = parse_sigma_hint(hint)
+        # a hint naming an ordinate must give one; any other is a label
+        if hint.replace(" ", "").startswith("y=") and (
+                y0 is None or not math.isfinite(y0)):
+            raise ConfigError(f"{ipath}/hint",
+                              f"expected y=<finite number>, got {hint!r}")
+        comps.append(SigmaComponent(sigma=float(sv), y0=y0,
                                     label=hint or f"component {idx}"))
     return FieldSpec(name="custom", a_src=a_src, b_src=b_src,
                      z_exact_src=z_src, components=tuple(comps))
@@ -175,8 +181,11 @@ def _rhs_from_config(obj, path, equation) -> dict:
     return out
 
 
-def _ab_size_error(equation: str, n: int) -> str | None:
-    """Why an `ab` solve at grid size n is refused, or None if it is not."""
+def _grid_size_error(equation: str, n: int) -> str | None:
+    """Why a solve of `equation` at grid size n is refused, or None if it
+    is not."""
+    if not 16 <= n <= 256:
+        return f"{n} outside [16, 256]"
     if equation == "ab" and n > _MATRIX_MAX_N:
         return (f"equation 'ab' needs grid_n <= {_MATRIX_MAX_N}, got {n}: "
                 f"above it the weight matrix is not cached, so each of the "
@@ -199,7 +208,8 @@ def load_config(path: str) -> CaseConfig:
     if "field" not in raw:
         raise ConfigError("/field", "required")
     spec = _field_from_config(raw["field"], "/field")
-    grid_n = _get_int(raw, "", "grid_n", 64, 16, 256)
+    # the allowed range depends on the equation: _grid_size_error below
+    grid_n = _get_int(raw, "", "grid_n", 64, -math.inf, math.inf)
     equation = raw.get("equation")
     if equation not in ("f", "a", "ab"):
         raise ConfigError("/equation",
@@ -207,9 +217,9 @@ def load_config(path: str) -> CaseConfig:
     if "rhs" not in raw:
         raise ConfigError("/rhs", "required")
     rhs = _rhs_from_config(raw["rhs"], "/rhs", equation)
-    ab_error = _ab_size_error(equation, grid_n)
-    if ab_error:
-        raise ConfigError("/grid_n", ab_error)
+    size_error = _grid_size_error(equation, grid_n)
+    if size_error:
+        raise ConfigError("/grid_n", size_error)
 
     solver = dict(_SOLVER_DEFAULTS)
     sobj = raw.get("solver", {})
@@ -259,8 +269,8 @@ def _l_of_expr(nf, src: str, n: int) -> np.ndarray:
 
 
 def _assemble_case(cfg: CaseConfig, n: int):
-    """Build the normalized field, kernel context, and right-hand-side
-    grids for one solve at grid size n."""
+    """Build the kernel context and the right-hand-side grids for one
+    solve at grid size n."""
     nf = normalize(cfg.spec)
     ctx = kernel_context(nf, n, refine_depth=cfg.refine_depth,
                          theta_tol=cfg.theta_tol)
@@ -281,11 +291,11 @@ def _assemble_case(cfg: CaseConfig, n: int):
             rhs["A"] = a_vals
         else:
             rhs["A"] = _grid_expr(cfg.rhs["A"], n)
-    return nf, ctx, rhs
+    return ctx, rhs
 
 
 def _run_solve(cfg: CaseConfig, n: int):
-    nf, ctx, rhs = _assemble_case(cfg, n)
+    ctx, rhs = _assemble_case(cfg, n)
     s = cfg.solver
     if cfg.equation == "f":
         report = solve_f(ctx, GridFunction(n, rhs["f"]))
@@ -298,7 +308,7 @@ def _run_solve(cfg: CaseConfig, n: int):
                           damping=s["damping"], max_iter=s["max_iter"],
                           picard_tol=s["picard_tol"],
                           lattice_tol=s["lattice_tol"])
-    return nf, ctx, rhs, report
+    return report
 
 
 # ---------------------------------------------------------------- outputs
@@ -348,7 +358,7 @@ _VERDICT_EXIT = {"yes": EXIT_OK, "no": EXIT_NO,
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     t0 = time.perf_counter()
-    nf, ctx, rhs, report = _run_solve(cfg, cfg.grid_n)
+    report = _run_solve(cfg, cfg.grid_n)
     wall = time.perf_counter() - t0
     _write_csv(args.out_prefix + ".u.csv", report.u, cfg.grid_n)
     _write_report(args.out_prefix + ".report.json", report, cfg.grid_n, wall)
@@ -372,6 +382,9 @@ def _parse_tau(text: str) -> complex:
 
 def _cmd_theta_check(args) -> int:
     tau = _parse_tau(args.tau)
+    if args.samples < 1:
+        raise HypotorusError(
+            f"--samples must be a positive integer, got {args.samples}")
     tctx = theta_context(tau, 1e-14)
     rng = np.random.default_rng(7031)
     zs = (rng.uniform(-1.5, 1.5, args.samples)
@@ -398,7 +411,7 @@ _CHECK_PROBES = (("1", "1"),
 def _cmd_operator_check(args) -> int:
     cfg = load_config(args.config)
     n = cfg.grid_n
-    nf, ctx, _ = _assemble_case(cfg, n)
+    ctx, _ = _assemble_case(cfg, n)
     ok = True
     for src, label in _CHECK_PROBES:
         g = GridFunction(n, _grid_expr(src, n))
@@ -413,7 +426,7 @@ def _cmd_operator_check(args) -> int:
               f"y-shift dev {dev_ii:.3e} (tol {tol:.1e})")
     probe = GridFunction(n, _grid_expr("exp(i*2*pi*(x+y))", n))
     u = t_omega(ctx, probe)
-    rep = residual_report(nf, apply_l_fd(nf, u), probe)
+    rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), probe)
     print(f"inversion probe: FD residual sup {rep.sup_norm:.3e} "
           f"(tol 5.0e-02, excluded {rep.excluded_fraction:.3f})")
     ok &= rep.sup_norm <= 5e-2
@@ -449,26 +462,18 @@ def _cmd_convergence(args) -> int:
         raise HypotorusError(
             f"cannot parse --sizes {args.sizes!r}") from exc
     for n in sizes:
-        ab_error = _ab_size_error(cfg.equation, n)
-        if ab_error:
-            raise HypotorusError(f"--sizes: {ab_error}")
+        size_error = _grid_size_error(cfg.equation, n)
+        if size_error:
+            raise HypotorusError(f"--sizes: {size_error}")
     verdicts = []
 
     def case(n: int) -> ResidualReport:
-        nf, ctx, rhs, report = _run_solve(cfg, n)
+        report = _run_solve(cfg, n)
         verdicts.append(report.solvable)
         if report.u is None:
             raise HypotorusError(
                 f"case is not solvable at n={n}: {report.notes}")
-        if cfg.equation == "f":
-            rhs_vals = rhs["f"]
-        elif cfg.equation == "a":
-            rhs_vals = rhs["A"] * report.u.values
-        else:
-            rhs_vals = (rhs["A"] * report.u.values
-                        + rhs["B"] * np.conj(report.u.values))
-        return residual_report(nf, apply_l_fd(nf, report.u),
-                               GridFunction(n, rhs_vals))
+        return report.residual
 
     rows = convergence_study(case, sizes)
     print(f"{'n':>5}  {'residual_sup':>13}  {'residual_l2':>13}  "

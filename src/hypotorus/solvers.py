@@ -28,15 +28,14 @@ RESIDUAL_BOUND = 0.25   # a "yes" needs residual_sup <= this * (1 + sup|rhs|)
 @dataclass
 class SolveReport:
     solvable: str                       # "yes" | "no" | "inconclusive"
-    u: GridFunction | None
-    j: int | None
-    k: int | None
-    nu: complex | None
-    residual_sup: float | None
-    residual_l2: float | None
-    iterations: int
-    offset_constancy: float
-    notes: str
+    u: GridFunction | None = None
+    j: int | None = None
+    k: int | None = None
+    nu: complex | None = None
+    residual: ResidualReport | None = None  # FD residual that backs u
+    iterations: int = 0
+    offset_constancy: float = 0.0
+    notes: str = ""
     v: GridFunction | None = None       # exponent of the similarity form
     k_sim: int | None = None            # u = C * exp(2pi i k_sim Z + v)
 
@@ -44,9 +43,17 @@ class SolveReport:
         if self.solvable not in ("yes", "no", "inconclusive"):
             raise HypotorusError(f"bad verdict {self.solvable!r}")
         if self.solvable == "yes" and (self.u is None
-                                       or self.residual_sup is None):
+                                       or self.residual is None):
             raise HypotorusError(
                 "a solvable report must carry a solution and its residual")
+
+    @property
+    def residual_sup(self) -> float | None:
+        return None if self.residual is None else self.residual.sup_norm
+
+    @property
+    def residual_l2(self) -> float | None:
+        return None if self.residual is None else self.residual.l2_norm
 
 
 @dataclass
@@ -63,20 +70,21 @@ def mean_integral(g: GridFunction) -> complex:
     return complex(np.mean(g.values))
 
 
-def _boundary_offsets(ctx: KernelContext, g: GridFunction) -> np.ndarray:
-    """T g (x, 1) - T g (x, 0) at OFFSET_SAMPLES abscissae.
+def _boundary_offsets(ctx: KernelContext, g: GridFunction) -> float:
+    """Spread of T g (x, 1) - T g (x, 0) over OFFSET_SAMPLES abscissae.
 
-    For doubly periodic g these are all the same constant (the negated
-    integral of g); their spread measures quadrature noise.
+    The row engine shifts the kernel's lattice index k by exactly one
+    between the two probes, so each offset is -mean(g) plus
+    h^2 * 4^-depth times the sum of g over the probe's singular cells, the
+    quadtree blocks dropped around it.  The spread therefore checks the
+    lattice-shift bookkeeping of point rows, and the variation of g over
+    the dropped blocks; it does not measure quadrature error.
     """
     xs = (np.arange(OFFSET_SAMPLES) + 0.5) / OFFSET_SAMPLES
-    return np.array([
+    offs = np.array([
         t_omega_point(ctx, g, (x, 1.0)) - t_omega_point(ctx, g, (x, 0.0))
         for x in xs])
-
-
-def _offset_constancy(vals: np.ndarray) -> float:
-    return float(np.abs(vals - vals.mean()).max())
+    return float(np.abs(offs - offs.mean()).max())
 
 
 @dataclass(frozen=True)
@@ -92,18 +100,16 @@ class NuEstimate:
 
 
 def nu_estimates(ctx: KernelContext, a_fn: GridFunction) -> NuEstimate:
+    """nu(A) = -(1/2pi i) integral of A.  The grid mean is authoritative;
+    the boundary jump T A (0, 1) - T A (0, 0) equals the same integral up
+    to the quadtree blocks dropped around the two probes (see
+    _boundary_offsets), so their discrepancy checks the lattice-shift
+    bookkeeping of point rows, not the quadrature."""
     two_pi_i = 2.0j * np.pi
     nu_mean = -mean_integral(a_fn) / two_pi_i
     nu_bdry = (t_omega_point(ctx, a_fn, (0.0, 1.0))
                - t_omega_point(ctx, a_fn, (0.0, 0.0))) / two_pi_i
     return NuEstimate(mean=nu_mean, boundary=nu_bdry)
-
-
-def nu_of(ctx: KernelContext, a_fn: GridFunction) -> complex:
-    """nu(A) = -(1/2pi i) integral of A; the grid-mean value is
-    authoritative, the boundary formula is evaluated alongside as a
-    consistency diagnostic."""
-    return nu_estimates(ctx, a_fn).mean
 
 
 def lattice_project(nu: complex, lattice: Lattice, tol: float = 1e-6):
@@ -122,17 +128,30 @@ def lattice_project(nu: complex, lattice: Lattice, tol: float = 1e-6):
     return None
 
 
-def _certified(rep: ResidualReport, rhs: GridFunction) -> tuple[str, str]:
-    """Verdict and note for a candidate solution: "yes" only when its FD
-    residual is small against the right-hand side, "inconclusive" when the
-    residual does not back the solution."""
+def _certify(ctx: KernelContext, u: GridFunction, rhs: GridFunction,
+             density: GridFunction, notes: str, **fields) -> SolveReport:
+    """The report for a candidate solution u of Lu = rhs: "yes" only when
+    its FD residual is small against the right-hand side, "inconclusive"
+    when the residual does not back it.  The offset constancy is reported
+    for the density whose transform built u."""
+    rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), rhs)
     bound = RESIDUAL_BOUND * (1.0 + rhs.sup_norm())
-    if rep.sup_norm <= bound:
-        return "yes", ""
-    return "inconclusive", (
-        f"; residual_sup {rep.sup_norm:.3e} exceeds {bound:.3e} = "
-        f"{RESIDUAL_BOUND} * (1 + sup|rhs|), so the solution is not "
-        "certified")
+    verdict = "yes"
+    if rep.sup_norm > bound:
+        verdict = "inconclusive"
+        notes += (f"; residual_sup {rep.sup_norm:.3e} exceeds {bound:.3e} = "
+                  f"{RESIDUAL_BOUND} * (1 + sup|rhs|), so the solution is "
+                  "not certified")
+    return SolveReport(solvable=verdict, u=u, residual=rep,
+                       offset_constancy=_boundary_offsets(ctx, density),
+                       notes=notes, **fields)
+
+
+def _similarity_solution(ctx: KernelContext, k_sim: int,
+                         v: GridFunction) -> GridFunction:
+    """exp(2pi i k_sim Z + v), scaled to unit sup norm."""
+    u_raw = np.exp(2.0j * np.pi * k_sim * ctx.z_centers + v.values)
+    return GridFunction(ctx.n, u_raw / np.abs(u_raw).max())
 
 
 # ----------------------------------------------------------------- Lu = f
@@ -144,21 +163,12 @@ def solve_f(ctx: KernelContext, f: GridFunction) -> SolveReport:
     gate = MEAN_TOL * (1.0 + f.sup_norm())
     if abs(m) > gate:
         return SolveReport(
-            solvable="no", u=None, j=None, k=None, nu=None,
-            residual_sup=None, residual_l2=None, iterations=0,
-            offset_constancy=0.0,
+            solvable="no",
             notes=f"mean(f) = {m:.6e} exceeds gate {gate:.2e}; "
                   "a doubly periodic solution cannot exist")
-    u = t_omega(ctx, f)
-    rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), f)
-    verdict, cert_note = _certified(rep, f)
-    offs = _boundary_offsets(ctx, f)
-    return SolveReport(
-        solvable=verdict, u=u, j=None, k=None, nu=None,
-        residual_sup=rep.sup_norm, residual_l2=rep.l2_norm, iterations=0,
-        offset_constancy=_offset_constancy(offs),
-        notes=f"mean(f) = {m:.3e} within gate; solution is T f, "
-              "unique up to an additive constant" + cert_note)
+    return _certify(ctx, t_omega(ctx, f), f, f,
+                    f"mean(f) = {m:.3e} within gate; solution is T f, "
+                    "unique up to an additive constant")
 
 
 # ---------------------------------------------------------------- Lu = Au
@@ -191,31 +201,18 @@ def solve_a(ctx: KernelContext, a_fn: GridFunction,
     nu_note = (f"nu(A) = {nu:.8g}; boundary-formula discrepancy "
                f"{est.discrepancy:.2e}; {tol_note}")
     if jk is None:
-        return SolveReport(
-            solvable="no", u=None, j=None, k=None, nu=nu,
-            residual_sup=None, residual_l2=None, iterations=0,
-            offset_constancy=0.0,
-            notes=nu_note + "; nu is not a lattice point")
+        return SolveReport(solvable="no", nu=nu,
+                           notes=nu_note + "; nu is not a lattice point")
     j, k = jk
     v = t_omega(ctx, a_fn)
-    two_pi_i = 2.0j * np.pi
-    expo = v.values - two_pi_i * k * ctx.z_centers
-    u_raw = np.exp(expo)
-    u = GridFunction(ctx.n, u_raw / np.abs(u_raw).max())
-    rhs = GridFunction(ctx.n, a_fn.values * u.values)
-    rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), rhs)
-    verdict, cert_note = _certified(rep, rhs)
-    offs = _boundary_offsets(ctx, a_fn)
     # Periodicity bookkeeping: under y -> y+1 the exponent moves by
     # -integral(A) - 2pi i k tau = 2pi i (j + k tau) - 2pi i k tau = 2pi i j,
     # and under x -> x+1 by 0, so exp(.) is doubly periodic by construction.
-    return SolveReport(
-        solvable=verdict, u=u, j=j, k=k, nu=nu,
-        residual_sup=rep.sup_norm, residual_l2=rep.l2_norm, iterations=0,
-        offset_constancy=_offset_constancy(offs),
-        notes=(nu_note + f"; exponent shifts: x+1 -> 0, y+1 -> 2*pi*i*{j}"
-               + cert_note),
-        v=v, k_sim=-k)
+    u = _similarity_solution(ctx, -k, v)
+    return _certify(
+        ctx, u, GridFunction(ctx.n, a_fn.values * u.values), a_fn,
+        nu_note + f"; exponent shifts: x+1 -> 0, y+1 -> 2*pi*i*{j}",
+        j=j, k=k, nu=nu, v=v, k_sim=-k)
 
 
 # ------------------------------------------------- Lu = Au + B * conj(u)
@@ -329,32 +326,23 @@ def solve_ab(ctx: KernelContext, a_fn: GridFunction, b_fn: GridFunction,
                      f"j err {abs(j_real - j):.2e}")
         if k_err > tol or abs(j_real - j) > tol:
             continue
-        offs = _boundary_offsets(ctx, integrand)
-        u_raw = np.exp(two_pi_i * k * ctx.z_centers + state.v.values)
-        u = GridFunction(ctx.n, u_raw / np.abs(u_raw).max())
+        u = _similarity_solution(ctx, k, state.v)
         rhs = GridFunction(ctx.n, a_fn.values * u.values
                            + b_fn.values * np.conj(u.values))
-        rep = residual_report(ctx.nf, apply_l_fd(ctx.nf, u), rhs)
-        verdict, cert_note = _certified(rep, rhs)
-        return SolveReport(
-            solvable=verdict, u=u, j=int(j), k=k, nu=z,
-            residual_sup=rep.sup_norm, residual_l2=rep.l2_norm,
-            iterations=state.iterations,
-            offset_constancy=_offset_constancy(offs),
-            notes=(f"winding k={k} accepted: delta_k/(2*pi*i) = {z:.8g} "
-                   f"matches j - k*tau with j={j}; {tol_note}; "
-                   f"nu field holds delta_k/(2*pi*i); "
-                   + "; ".join(trail) + cert_note),
+        return _certify(
+            ctx, u, rhs, integrand,
+            f"winding k={k} accepted: delta_k/(2*pi*i) = {z:.8g} "
+            f"matches j - k*tau with j={j}; {tol_note}; "
+            f"nu field holds delta_k/(2*pi*i); " + "; ".join(trail),
+            j=int(j), k=k, nu=z, iterations=state.iterations,
             v=state.v, k_sim=k)
     verdict = "inconclusive" if any_unconverged else "no"
     caveat = ("Picard iteration stalled for some windings"
               if any_unconverged else
               f"no winding in |k| <= {k_max} matched with the fixed "
               "points found here")
-    return SolveReport(
-        solvable=verdict, u=None, j=None, k=None, nu=None,
-        residual_sup=None, residual_l2=None, iterations=total_iter,
-        offset_constancy=0.0, notes=caveat + "; " + "; ".join(trail))
+    return SolveReport(solvable=verdict, iterations=total_iter,
+                       notes=caveat + "; " + "; ".join(trail))
 
 
 # ------------------------------------------------------------- similarity

@@ -65,6 +65,9 @@ def test_load_config_defaults(tmp_path):
     ({"equation": "ab", "rhs": {"A": "1", "B": "0.1"}, "grid_n": 96},
      "/grid_n"),
     ({"solver": {"lattice_tol": 0.5}}, "/solver/lattice_tol"),
+    *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",
+                  "sigma": [{"sigma_i": 2, "hint": hint}]}},
+       "/field/sigma/0/hint") for hint in ("y=0/1", "y=nan", "y=1e999")),
 ])
 def test_load_config_pointers(tmp_path, patch, pointer):
     base = {"field": {"builtin": "elliptic"}, "equation": "f",
@@ -272,6 +275,26 @@ def test_convergence_rejects_ab_sizes_above_matrix_cache(tmp_path,
     assert rc == cli.EXIT_ERROR
     assert calls == []
     assert "grid_n <= 80" in capsys.readouterr().err
+
+
+def test_convergence_checks_every_size_before_solving(tmp_path,
+                                                     monkeypatch, capsys):
+    cfg = elliptic_f_cfg(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "_run_solve", lambda *a: calls.append(a))
+    rc = cli.main(["convergence", "--config", cfg, "--sizes", "16,512"])
+    assert rc == cli.EXIT_ERROR
+    assert calls == []
+    assert "512 outside [16, 256]" in capsys.readouterr().err
+
+
+def test_theta_check_refuses_nonpositive_samples(capsys):
+    for samples in ("0", "-3"):
+        rc = cli.main(["theta-check", "--tau", "0.3+0.8i",
+                       "--samples", samples])
+        assert rc == cli.EXIT_ERROR
+        assert "--samples must be a positive integer" in (
+            capsys.readouterr().err)
 
 
 def test_outputs_identical_across_thread_counts(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from hypotorus import (
     lattice_project,
     mean_integral,
     nu_estimates,
-    nu_of,
     pk_apply,
     pk_fixed_point,
     similarity_check,
@@ -17,7 +16,9 @@ from hypotorus import (
     solve_ab,
     solve_f,
     t_omega,
+    t_omega_point,
 )
+from hypotorus.kernel import kernel_context
 from hypotorus import solvers as sv
 
 TWO_PI_I = 2.0j * np.pi
@@ -37,17 +38,46 @@ def test_mean_integral():
 
 def test_nu_of_constants(ctx_elliptic_16):
     ctx = ctx_elliptic_16
-    assert abs(nu_of(ctx, const_grid(16, -TWO_PI_I)) - 1) < 1e-14
-    assert nu_of(ctx, const_grid(16, 0)) == 0
+    assert abs(nu_estimates(ctx, const_grid(16, -TWO_PI_I)).mean - 1) < 1e-14
+    assert nu_estimates(ctx, const_grid(16, 0)).mean == 0
     tau = ctx.tau
     want = 2 + 3 * tau
-    got = nu_of(ctx, const_grid(16, -TWO_PI_I * want))
+    got = nu_estimates(ctx, const_grid(16, -TWO_PI_I * want)).mean
     assert abs(got - want) < 1e-13
 
 
 def test_nu_boundary_formula_agrees(ctx_elliptic_16):
     est = nu_estimates(ctx_elliptic_16, const_grid(16, -TWO_PI_I))
     assert est.discrepancy < 1e-4
+
+
+@pytest.mark.parametrize("nf_name", ["nf_elliptic", "nf_deg_sin2"])
+def test_boundary_offsets_are_the_dropped_blocks(request, nf_name):
+    # The kernel's lattice index moves by exactly one between (x, 0) and
+    # (x, 1), so T g (x, 1) - T g (x, 0) is -mean(g) plus what the singular
+    # quadtrees leave out: at these abscissae the probe is a corner of four
+    # cells, each of which drops one block of side h * 2^-depth.
+    n = 16
+    ctx = kernel_context(request.getfixturevalue(nf_name), n)
+    rng = np.random.default_rng(44)
+    g = GridFunction(n, rng.normal(size=(n, n))
+                     + 1j * rng.normal(size=(n, n)))
+    h = 1.0 / n
+    depth = int(ctx.quadtree_depth(0.0))
+    samples = (np.arange(sv.OFFSET_SAMPLES) + 0.5) / sv.OFFSET_SAMPLES
+    dropped = {}
+    for x in (0.0, *samples):
+        i = round(x * n)
+        assert i == x * n
+        cells = g.values[np.ix_([(i - 1) % n, i], [n - 1, 0])]
+        dropped[x] = h * h * 4.0 ** -depth * cells.sum()
+        got = (t_omega_point(ctx, g, (x, 1.0))
+               - t_omega_point(ctx, g, (x, 0.0)))
+        assert abs(got - (dropped[x] - mean_integral(g))) < 1e-13
+    # so offset_constancy is the spread of the dropped blocks' share
+    share = np.array([dropped[x] for x in samples])
+    spread = np.abs(share - share.mean()).max()
+    assert abs(sv._boundary_offsets(ctx, g) - spread) < 1e-13
 
 
 def test_lattice_project():
@@ -99,13 +129,9 @@ def test_large_nu_is_left_to_the_residual(ctx_elliptic_16):
 
 def test_report_invariants():
     with pytest.raises(HypotorusError):
-        SolveReport(solvable="maybe", u=None, j=None, k=None, nu=None,
-                    residual_sup=None, residual_l2=None, iterations=0,
-                    offset_constancy=0.0, notes="")
+        SolveReport(solvable="maybe")
     with pytest.raises(HypotorusError):
-        SolveReport(solvable="yes", u=None, j=None, k=None, nu=None,
-                    residual_sup=None, residual_l2=None, iterations=0,
-                    offset_constancy=0.0, notes="")
+        SolveReport(solvable="yes")
 
 
 def test_solve_f_rejects_nonzero_mean(ctx_elliptic_16):
