@@ -22,7 +22,8 @@ import numpy as np
 from . import exprparser as ep
 from .core import GridFunction, HypotorusError, grid_centers
 from .field import (BUILTIN_NAMES, FieldSpec, SigmaComponent, build_field,
-                    char_set_info, coeff_grid, normalize, parse_sigma_hint)
+                    char_set_info, coeff_grid, normalize, parse_sigma_hint,
+                    x_invariant)
 from .kernel import _MATRIX_MAX_N, kernel_context, t_omega, t_omega_point
 from .solvers import mean_integral, solve_a, solve_ab, solve_f
 from .theta import theta_context, theta_eval
@@ -181,16 +182,16 @@ def _rhs_from_config(obj, path, equation) -> dict:
     return out
 
 
-def _grid_size_error(equation: str, n: int) -> str | None:
-    """Why a solve of `equation` at grid size n is refused, or None if it
-    is not."""
+def _grid_size_error(spec: FieldSpec, equation: str, n: int) -> str | None:
+    """Why a solve of `equation` on the field `spec` at grid size n is
+    refused, or None if it is not."""
     if not 16 <= n <= 256:
         return f"{n} outside [16, 256]"
-    if equation == "ab" and n > _MATRIX_MAX_N:
-        return (f"equation 'ab' needs grid_n <= {_MATRIX_MAX_N}, got {n}: "
-                f"above it the weight matrix is not cached, so each of the "
-                f"solve's Picard steps streams the whole O(n^4) operator "
-                f"again")
+    if equation == "ab" and n > _MATRIX_MAX_N and not x_invariant(spec):
+        return (f"equation 'ab' on a field whose coefficients depend on x "
+                f"needs grid_n <= {_MATRIX_MAX_N}, got {n}: above it the "
+                f"weight matrix is not cached, so each of the solve's Picard "
+                f"steps streams the whole O(n^4) operator again")
     return None
 
 
@@ -217,7 +218,7 @@ def load_config(path: str) -> CaseConfig:
     if "rhs" not in raw:
         raise ConfigError("/rhs", "required")
     rhs = _rhs_from_config(raw["rhs"], "/rhs", equation)
-    size_error = _grid_size_error(equation, grid_n)
+    size_error = _grid_size_error(spec, equation, grid_n)
     if size_error:
         raise ConfigError("/grid_n", size_error)
 
@@ -462,7 +463,7 @@ def _cmd_convergence(args) -> int:
         raise HypotorusError(
             f"cannot parse --sizes {args.sizes!r}") from exc
     for n in sizes:
-        size_error = _grid_size_error(cfg.equation, n)
+        size_error = _grid_size_error(cfg.spec, cfg.equation, n)
         if size_error:
             raise HypotorusError(f"--sizes: {size_error}")
     verdicts = []

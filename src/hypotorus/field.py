@@ -230,6 +230,13 @@ def normalize(spec: FieldSpec) -> NormalizedField:
         None if z_n is None else normalize_ast(z_n), components)
 
 
+def x_invariant(fld: FieldSpec | NormalizedField) -> bool:
+    """True when neither coefficient depends on x.  Normalization scales
+    the coefficients and may reflect y, so a spec and its normalized field
+    agree."""
+    return not (ep.depends_on(fld.a_ast, "x") or ep.depends_on(fld.b_ast, "x"))
+
+
 def coeff_eval(nf: NormalizedField, p) -> tuple[complex, complex]:
     """Normalized coefficients (a, b) at a point."""
     pt = as_point(p)

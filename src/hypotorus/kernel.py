@@ -41,10 +41,22 @@ One function finishes the row of any target from its Z value and its
 singular cells: a grid target is singular in its own cell at the center, a
 point probe in the one to four cells whose closure holds it.  Rows are built
 in blocks of _ROW_BLOCK targets, refinement and singular cells included; a
-block bounds memory only, so W does not depend on it.  Up to
-n = _MATRIX_MAX_N the finished rows of W are cached on the context and every
-apply is one matrix product; above it W would not fit in memory, so each
-apply streams the same rows block by block.
+block bounds memory only, so W does not depend on it.
+
+The context picks how T is built and applied once, from the field:
+
+* circulant: when neither coefficient depends on x, the closed form has
+  a = 1 and Z = x + phi(y), so the kernel depends on x - x' alone and T
+  commutes with x-translations:
+  W[(i, j), (i', j')] = R[j, (i' - i) mod n, j'], where R is the first n
+  rows of W.  Only R is built, O(n^3) work and memory; an apply is an FFT
+  along x with one n x n product per x-frequency, at every n.
+
+* dense: otherwise, up to n = _MATRIX_MAX_N, all n^2 rows of W are cached
+  and every apply is one matrix product.
+
+* streamed: above it W would not fit in memory, so each apply streams the
+  same rows block by block.
 """
 
 from __future__ import annotations
@@ -58,7 +70,7 @@ import numpy as np
 
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
                    lattice_reduce, reduced_lattice_distance)
-from .field import NormalizedField, ZEvaluator, char_set_info
+from .field import NormalizedField, ZEvaluator, char_set_info, x_invariant
 from .theta import ThetaContext, theta_log_deriv_raw
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
@@ -92,8 +104,15 @@ class KernelContext:
     zeval: ZEvaluator = field(repr=False, init=False)
     # |a| + |b| at cell centers: the local Z-stretch of a cell
     coeff_size: np.ndarray = field(repr=False, init=False)
-    # dense weight matrix, built on first use and only for n <= _MATRIX_MAX_N
+    # "circulant", "dense" or "streamed": how T is built and applied
+    strategy: str = field(init=False)
+    # dense weight matrix, built by operator_matrix for n <= _MATRIX_MAX_N;
+    # the dense strategy applies T through it, the circulant one never does
     _wmat: np.ndarray | None = field(repr=False, init=False, default=None)
+    # circulant strategy: the first n rows R of W and their spectrum along x,
+    # built together on first use
+    _rows: np.ndarray | None = field(repr=False, init=False, default=None)
+    _spectrum: np.ndarray | None = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
         if self.n < 8:
@@ -104,6 +123,12 @@ class KernelContext:
         if not char_set_info(self.nf).sign_fixed:
             raise HypotorusError("orientation is not fixed: Im(a*conj(b)) "
                                  "takes both signs on the torus")
+        if x_invariant(self.nf):
+            self.strategy = "circulant"
+        elif self.n <= _MATRIX_MAX_N:
+            self.strategy = "dense"
+        else:
+            self.strategy = "streamed"
         self.zeval = ZEvaluator(self.nf, self.n)
         x, y = grid_centers(self.n)
         self.coeff_size = (np.abs(self.nf.a(x, y))
@@ -282,11 +307,10 @@ def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
     return _target_rows(ctx, ctx.z_centers.ravel()[r0:r1], sing)
 
 
-def _run_row_blocks(ctx: KernelContext, fn):
-    """Call fn on blocks (r0, r1) covering all flat grid targets, on
+def _run_row_blocks(ctx: KernelContext, fn, total: int):
+    """Call fn on blocks (r0, r1) covering flat grid targets [0, total), on
     thread_count() threads.  The context is complete when it is made, so
     the threads only read shared state."""
-    total = ctx.n * ctx.n
     blocks = [(r, min(r + _ROW_BLOCK, total))
               for r in range(0, total, _ROW_BLOCK)]
     threads = thread_count()
@@ -297,6 +321,32 @@ def _run_row_blocks(ctx: KernelContext, fn):
             list(pool.map(fn, blocks))
 
 
+def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
+    """Rows [0, total) of W, built block by block."""
+    rows = np.empty((total, ctx.n * ctx.n), dtype=complex)
+
+    def fill(block):
+        r0, r1 = block
+        rows[r0:r1] = _operator_rows(ctx, r0, r1)
+
+    _run_row_blocks(ctx, fill, total)
+    return rows
+
+
+def _circulant(ctx: KernelContext):
+    """(R, spectrum) of a circulant context, built on first use.  R holds
+    the first n rows of W, those of the targets in the column x = h/2;
+    spectrum[k] is the n x n matrix sum_d R[:, d, :] exp(2 pi i k d / n)
+    that multiplies the k-th x-frequency of a density."""
+    if ctx._rows is None:
+        n = ctx.n
+        rows = _built_rows(ctx, n)
+        ctx._spectrum = np.ascontiguousarray(np.moveaxis(np.fft.ifft(
+            rows.reshape(n, n, n), axis=1, norm="forward"), 1, 0))
+        ctx._rows = rows
+    return ctx._rows, ctx._spectrum
+
+
 def operator_matrix(ctx: KernelContext) -> np.ndarray:
     """Dense weight matrix W with T g = (W @ g.ravel()).reshape(n, n),
     cached on the context.  Only available for moderate n."""
@@ -305,14 +355,15 @@ def operator_matrix(ctx: KernelContext) -> np.ndarray:
             f"weight matrix at n={ctx.n} would exceed the memory budget")
     if ctx._wmat is not None:
         return ctx._wmat
-    total = ctx.n * ctx.n
-    w = np.empty((total, total), dtype=complex)
-
-    def fill(block):
-        r0, r1 = block
-        w[r0:r1] = _operator_rows(ctx, r0, r1)
-
-    _run_row_blocks(ctx, fill)
+    n = ctx.n
+    if ctx.strategy == "circulant":
+        r3 = _circulant(ctx)[0].reshape(n, n, n)
+        w = np.empty((n * n, n * n), dtype=complex)
+        for i in range(n):
+            # the targets in column i see R shifted by i cells along x
+            w[i * n:(i + 1) * n] = np.roll(r3, i, axis=1).reshape(n, n * n)
+    else:
+        w = _built_rows(ctx, n * n)
     ctx._wmat = w
     return w
 
@@ -322,8 +373,12 @@ def t_omega(ctx: KernelContext, g: GridFunction) -> GridFunction:
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     n = ctx.n
+    if ctx.strategy == "circulant":
+        gk = np.fft.fft(g.values, axis=0)
+        tk = np.matmul(_circulant(ctx)[1], gk[:, :, None])[:, :, 0]
+        return GridFunction(n, np.fft.ifft(tk, axis=0))
     gflat = g.values.ravel()
-    if n <= _MATRIX_MAX_N:
+    if ctx.strategy == "dense":
         return GridFunction(n, (operator_matrix(ctx) @ gflat).reshape(n, n))
     out = np.empty(n * n, dtype=complex)
 
@@ -331,7 +386,7 @@ def t_omega(ctx: KernelContext, g: GridFunction) -> GridFunction:
         r0, r1 = block
         out[r0:r1] = _operator_rows(ctx, r0, r1) @ gflat
 
-    _run_row_blocks(ctx, fill)
+    _run_row_blocks(ctx, fill, n * n)
     return GridFunction(n, out.reshape(n, n))
 
 

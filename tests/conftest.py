@@ -24,7 +24,8 @@ def nf_perturbed():
     return normalize(build_field("analytic_perturbed"))
 
 
-# Contexts cache the dense operator matrix (for moderate n), so the
+# Contexts cache their operator: the n circulant rows of an x-invariant
+# field at any n, the dense matrix of an x-dependent one up to n = 80.  The
 # expensive ones are shared across the whole run.
 
 @pytest.fixture(scope="session")

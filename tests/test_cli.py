@@ -62,8 +62,8 @@ def test_load_config_defaults(tmp_path):
     ({"theta": {"tol": 0.5}}, "/theta/tol"),
     ({"bogus": 1}, "/bogus"),
     ({"theta": {"tol": 1e-3}}, "/theta/tol"),
-    ({"equation": "ab", "rhs": {"A": "1", "B": "0.1"}, "grid_n": 96},
-     "/grid_n"),
+    ({"field": {"builtin": "degenerate_2d"}, "equation": "ab",
+      "rhs": {"A": "1", "B": "0.1"}, "grid_n": 96}, "/grid_n"),
     ({"solver": {"lattice_tol": 0.5}}, "/solver/lattice_tol"),
     *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",
                   "sigma": [{"sigma_i": 2, "hint": hint}]}},
@@ -78,6 +78,15 @@ def test_load_config_pointers(tmp_path, patch, pointer):
     with pytest.raises(cli.ConfigError) as err:
         cli.load_config(write_cfg(tmp_path, base))
     assert f"schema error at {pointer}:" in str(err.value)
+
+
+def test_load_config_ab_above_80_on_x_invariant_field(tmp_path):
+    # the circulant operator is cached at every n, so only fields whose
+    # coefficients depend on x keep the n <= 80 limit for equation 'ab'
+    cfg = cli.load_config(write_cfg(tmp_path, {
+        "field": {"builtin": "elliptic"}, "equation": "ab", "grid_n": 96,
+        "rhs": {"A": "1", "B": "0.1"}}))
+    assert cfg.grid_n == 96
 
 
 def test_load_config_equation_ab_needs_b(tmp_path):
@@ -267,7 +276,7 @@ def test_convergence_command(tmp_path, capsys):
 def test_convergence_rejects_ab_sizes_above_matrix_cache(tmp_path,
                                                         monkeypatch, capsys):
     cfg = write_cfg(tmp_path, {
-        "field": {"builtin": "degenerate_sin2"}, "grid_n": 32,
+        "field": {"builtin": "degenerate_2d"}, "grid_n": 32,
         "equation": "ab", "rhs": {"A": "1", "B": "0.1"}})
     calls = []
     monkeypatch.setattr(cli, "_run_solve", lambda *a: calls.append(a))

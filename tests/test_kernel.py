@@ -18,7 +18,7 @@ from hypotorus import exprparser as ep
 from hypotorus import kernel as kn
 from hypotorus.core import grid_centers, lattice_distance
 from hypotorus.field import (FieldSpec, SigmaComponent, build_field,
-                             coeff_grid, normalize)
+                             coeff_grid, normalize, x_invariant)
 from hypotorus.solvers import solve_a
 
 # a field depending on x with no z_exact, so Z comes from quadrature
@@ -26,6 +26,10 @@ NO_Z_EXACT = FieldSpec(
     "custom", "1 + 0.1*pi*cos(2*pi*x)*sin(pi*y)^2",
     "0.1*pi*sin(2*pi*x)*sin(pi*y)*cos(pi*y) + i*sin(pi*y)^2", None,
     (SigmaComponent(2.0, 0.0, "y=0"),))
+
+# a field constant in x with no z_exact: the circulant strategy on the
+# quadrature Z path
+X_INVARIANT_NO_Z = FieldSpec("custom", "1", "i*(1.5+sin(2*pi*y))", None, ())
 
 
 def test_ring_offsets_geometry():
@@ -167,12 +171,12 @@ def test_point_eval_edge_offsets_exact_off_power_of_two(nf_elliptic):
         assert abs(corner - near) < 1e-4
 
 
-def test_streamed_matches_matrix_path(nf_elliptic, nf_deg_sin2,
+def test_streamed_matches_matrix_path(nf_perturbed, nf_deg_2d,
                                       monkeypatch):
-    # degenerate_sin2 puts bumped rows near its circle through both paths
+    # degenerate_2d puts bumped rows near its circle through both paths
     g = GridFunction.from_callable(
         16, lambda x, y: np.sin(np.pi * y) ** 2 + 0.5j * np.cos(2 * np.pi * x))
-    for nf in (nf_elliptic, nf_deg_sin2):
+    for nf in (nf_perturbed, nf_deg_2d):
         want = t_omega(kernel_context(nf, 16), g)
         with monkeypatch.context() as m:
             m.setattr(kn, "_MATRIX_MAX_N", 8)
@@ -180,14 +184,14 @@ def test_streamed_matches_matrix_path(nf_elliptic, nf_deg_sin2,
         assert np.max(np.abs(got.values - want.values)) < 1e-12
 
 
-def test_threaded_run_is_deterministic(nf_elliptic, nf_deg_sin2,
+def test_threaded_run_is_deterministic(nf_perturbed, nf_deg_2d,
                                        monkeypatch):
     # n=16 is four row blocks, so four threads really share the work;
-    # degenerate_sin2 puts refined rows next to its circle into the run
+    # degenerate_2d puts refined rows next to its circle into the run
     g = GridFunction.from_callable(
         16, lambda x, y: np.exp(2j * np.pi * (x - y)))
     monkeypatch.setattr(kn, "_MATRIX_MAX_N", 8)  # force the blocked path
-    for nf in (nf_elliptic, nf_deg_sin2):
+    for nf in (nf_perturbed, nf_deg_2d):
         monkeypatch.setenv("HYPOTORUS_THREADS", "1")
         one = t_omega(kernel_context(nf, 16), g)
         monkeypatch.setenv("HYPOTORUS_THREADS", "4")
@@ -207,10 +211,11 @@ def test_weights_do_not_depend_on_row_blocks(name, request):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_threaded_build_counts_expression_points_once(nf_elliptic,
+def test_threaded_build_counts_expression_points_once(nf_perturbed,
                                                      monkeypatch):
-    # elliptic at n=48 has 36 row blocks; two threads must not both fill a
-    # shared lazy cache, which would evaluate the same points twice
+    # analytic_perturbed at n=48 has 36 row blocks; two threads must not
+    # both fill a shared lazy cache, which would evaluate the same points
+    # twice
     lock = threading.Lock()
     count = [0]
     eval_expr = ep.eval_expr
@@ -221,7 +226,7 @@ def test_threaded_build_counts_expression_points_once(nf_elliptic,
         return eval_expr(ast, x, y)
 
     def points_in_build(threads):
-        ctx = kernel_context(nf_elliptic, 48)
+        ctx = kernel_context(nf_perturbed, 48)
         monkeypatch.setenv("HYPOTORUS_THREADS", threads)
         count[0] = 0
         operator_matrix(ctx)
@@ -234,7 +239,7 @@ def test_threaded_build_counts_expression_points_once(nf_elliptic,
         assert points_in_build("2") == want
 
 
-def test_far_field_block_is_reduced_once(nf_elliptic, monkeypatch):
+def test_far_field_block_is_reduced_once(nf_perturbed, monkeypatch):
     # n=16 is four row blocks of 64 targets by 256 cells
     original, shapes = core.lattice_reduce, []
 
@@ -246,8 +251,66 @@ def test_far_field_block_is_reduced_once(nf_elliptic, monkeypatch):
         if name.startswith("hypotorus") and hasattr(mod, "lattice_reduce"):
             monkeypatch.setattr(mod, "lattice_reduce", recording)
     monkeypatch.setenv("HYPOTORUS_THREADS", "1")
-    operator_matrix(kernel_context(nf_elliptic, 16))
+    operator_matrix(kernel_context(nf_perturbed, 16))
     assert shapes.count((64, 256)) == 4
+
+
+def test_strategy_follows_the_field(nf_elliptic, nf_deg_sin2, nf_perturbed,
+                                    nf_deg_2d):
+    for nf in (nf_elliptic, nf_deg_sin2, normalize(X_INVARIANT_NO_Z)):
+        assert x_invariant(nf) and x_invariant(nf.spec)
+        for n in (16, 96):
+            assert kernel_context(nf, n).strategy == "circulant"
+    for nf in (nf_perturbed, nf_deg_2d, normalize(NO_Z_EXACT)):
+        assert not x_invariant(nf) and not x_invariant(nf.spec)
+        assert kernel_context(nf, 16).strategy == "dense"
+        assert kernel_context(nf, 96).strategy == "streamed"
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("name", ["elliptic", "degenerate_sin2", "noz"])
+def test_circulant_matches_stacked_rows(name, n):
+    # the n-row circulant build expanded to W, and the FFT apply, against
+    # all n^2 rows from the row engine
+    spec = X_INVARIANT_NO_Z if name == "noz" else build_field(name)
+    ctx = kernel_context(normalize(spec), n)
+    assert ctx.strategy == "circulant"
+    want = np.vstack([kn._operator_rows(ctx, r, r + 64)
+                      for r in range(0, n * n, 64)])
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(operator_matrix(ctx) - want)) <= 1e-13 * scale
+    g = GridFunction.from_callable(
+        n, lambda x, y: np.exp(2j * np.pi * (x + 2 * y)) + np.sin(np.pi * y))
+    wg = operator_matrix(ctx) @ g.values.ravel()
+    got = t_omega(ctx, g).values.ravel()
+    assert np.max(np.abs(got - wg)) <= 1e-13 * np.max(np.abs(wg))
+
+
+def test_circulant_rows_are_built_once(nf_deg_sin2, monkeypatch):
+    # operator_matrix leaves the n rows cached, so an apply builds nothing
+    ctx = kernel_context(nf_deg_sin2, 16)
+    operator_matrix(ctx)
+
+    def refuse(*args):
+        raise AssertionError("operator rows built twice")
+
+    monkeypatch.setattr(kn, "_operator_rows", refuse)
+    g = GridFunction.from_callable(16, lambda x, y: np.cos(2 * np.pi * x))
+    t_omega(ctx, g)
+
+
+def test_circulant_build_is_thread_count_invariant(nf_deg_sin2,
+                                                  monkeypatch):
+    # n=128 is 128 rows, two row blocks, so four threads share the build
+    g = GridFunction.from_callable(
+        128, lambda x, y: np.exp(2j * np.pi * (x - y)))
+    runs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("HYPOTORUS_THREADS", threads)
+        ctx = kernel_context(nf_deg_sin2, 128)
+        runs.append((t_omega(ctx, g).values, ctx._rows))
+    assert np.array_equal(runs[0][1], runs[1][1])
+    assert np.array_equal(runs[0][0], runs[1][0])
 
 
 def test_lattice_dist(ctx_elliptic_16):
