@@ -22,9 +22,9 @@ import numpy as np
 from . import exprparser as ep
 from .core import GridFunction, HypotorusError, grid_centers
 from .field import (BUILTIN_NAMES, FieldSpec, SigmaComponent, build_field,
-                    char_set_info, coeff_grid, normalize, parse_sigma_hint,
-                    x_invariant)
-from .kernel import _MATRIX_MAX_N, kernel_context, t_omega, t_omega_point
+                    char_set_info, coeff_grid, normalize, parse_sigma_hint)
+from .kernel import (_MATRIX_MAX_N, kernel_context, strategy_for, t_omega,
+                     t_omega_point)
 from .solvers import mean_integral, solve_a, solve_ab, solve_f
 from .theta import theta_context, theta_eval
 from .verify import (ResidualReport, apply_l_fd, convergence_study,
@@ -130,9 +130,10 @@ def _field_from_config(obj, path) -> FieldSpec:
         if "sigma_i" not in item:
             raise ConfigError(f"{ipath}/sigma_i", "required")
         sv = item["sigma_i"]
-        if isinstance(sv, bool) or not isinstance(sv, (int, float)) or sv <= 0:
+        if (isinstance(sv, bool) or not isinstance(sv, (int, float))
+                or not 0 < sv < math.inf):
             raise ConfigError(f"{ipath}/sigma_i",
-                              f"expected a positive number, got {sv!r}")
+                              f"expected a positive finite number, got {sv!r}")
         hint = item.get("hint", "")
         if not isinstance(hint, str):
             raise ConfigError(f"{ipath}/hint", "expected a string")
@@ -187,7 +188,7 @@ def _grid_size_error(spec: FieldSpec, equation: str, n: int) -> str | None:
     refused, or None if it is not."""
     if not 16 <= n <= 256:
         return f"{n} outside [16, 256]"
-    if equation == "ab" and n > _MATRIX_MAX_N and not x_invariant(spec):
+    if equation == "ab" and strategy_for(spec, n) == "streamed":
         return (f"equation 'ab' on a field whose coefficients depend on x "
                 f"needs grid_n <= {_MATRIX_MAX_N}, got {n}: above it the "
                 f"weight matrix is not cached, so each of the solve's Picard "
@@ -374,11 +375,14 @@ def _cmd_solve(args) -> int:
 def _parse_tau(text: str) -> complex:
     m = re.fullmatch(r"\s*([+-]?[0-9.]+(?:[eE][+-]?[0-9]+)?)"
                      r"([+-][0-9.]+(?:[eE][+-]?[0-9]+)?)i\s*", text)
-    if not m:
-        raise HypotorusError(
-            f"cannot parse lattice modulus {text!r}; expected RE+IMi "
-            "like 0+1i or 0.3+0.8i")
-    return complex(float(m.group(1)), float(m.group(2)))
+    try:
+        if m:
+            return complex(float(m.group(1)), float(m.group(2)))
+    except ValueError:
+        pass  # "[0-9.]+" also matches runs like "1.2.3"
+    raise HypotorusError(
+        f"cannot parse lattice modulus {text!r}; expected RE+IMi "
+        "like 0+1i or 0.3+0.8i")
 
 
 def _cmd_theta_check(args) -> int:

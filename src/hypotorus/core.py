@@ -82,16 +82,11 @@ def lattice_reduce(z: complex, tau: complex):
     return w, j.astype(int), k.astype(int)
 
 
-def lattice_distance(z, tau: complex) -> np.ndarray:
-    """Distance from each z to the nearest lattice point j + k*tau."""
-    w, _, _ = lattice_reduce(z, tau)
-    return reduced_lattice_distance(w, tau)
-
-
 def reduced_lattice_distance(w, tau: complex) -> np.ndarray:
-    """lattice_distance for w already reduced to lattice coordinates in
-    [-1, 1): the distance to the nearest of the nine points j + k*tau with
-    |j|, |k| <= 1, with no second reduction."""
+    """Distance from w to the lattice, for w already reduced to lattice
+    coordinates in [-1, 1) (by lattice_reduce, say): the distance to the
+    nearest of the nine points j + k*tau with |j|, |k| <= 1, with no second
+    reduction."""
     d = np.abs(w)
     for dj in (-1, 0, 1):
         for dk in (-1, 0, 1):
@@ -134,9 +129,6 @@ class GridFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.n, self.values.copy())
 
 
 def grid_centers(n: int) -> tuple[np.ndarray, np.ndarray]:

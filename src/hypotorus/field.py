@@ -109,14 +109,16 @@ BUILTIN_NAMES = ("elliptic", "degenerate_sin2", "analytic_perturbed",
 
 # ------------------------------------------------------------- quadrature
 
-def _gl_panels(fn, edges: np.ndarray) -> complex:
-    lo = edges[:-1]
-    hi = edges[1:]
+def _gl_values(fn, lo, hi) -> np.ndarray:
+    """Weighted Gauss-Legendre node values of fn on the panels [lo, hi],
+    arrays of one shape: fn gets the nodes with one more axis, of length
+    GL_ORDER, and summing the result over that axis gives each panel's
+    integral."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = fn(nodes)
-    return complex(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * vals))
+    nodes = mid[..., None] + half[..., None] * _GL_NODES
+    return half[..., None] * _GL_WEIGHTS * fn(nodes)
 
 
 def integrate_line(fn, lo: float, hi: float, breakpoints=(),
@@ -138,11 +140,11 @@ def integrate_line(fn, lo: float, hi: float, breakpoints=(),
         edges.append(np.linspace(a, b, m + 1)[:-1])
     edges.append(np.array([hi]))
     edges = np.concatenate(edges)
-    prev = _gl_panels(fn, edges)
+    prev = complex(np.sum(_gl_values(fn, edges[:-1], edges[1:])))
     while len(edges) - 1 <= max_panels:
         mids = 0.5 * (edges[:-1] + edges[1:])
         edges = np.sort(np.concatenate([edges, mids]))
-        cur = _gl_panels(fn, edges)
+        cur = complex(np.sum(_gl_values(fn, edges[:-1], edges[1:])))
         if abs(cur - prev) <= tol:
             return sign * cur
         prev = cur
@@ -237,12 +239,6 @@ def x_invariant(fld: FieldSpec | NormalizedField) -> bool:
     return not (ep.depends_on(fld.a_ast, "x") or ep.depends_on(fld.b_ast, "x"))
 
 
-def coeff_eval(nf: NormalizedField, p) -> tuple[complex, complex]:
-    """Normalized coefficients (a, b) at a point."""
-    pt = as_point(p)
-    return (complex(nf.a(pt.x, pt.y)), complex(nf.b(pt.x, pt.y)))
-
-
 def coeff_grid(nf: NormalizedField, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, y = grid_centers(n)
     return (np.asarray(nf.a(x, y), dtype=complex),
@@ -306,42 +302,24 @@ class ZEvaluator:
             self.centers = self._build_centers()
 
     def _build_centers(self) -> np.ndarray:
+        # Z at a center is the integral of a dx along y = 0 to its abscissa,
+        # plus that of b dy up its column: one Gauss-Legendre panel between
+        # consecutive centers, the y panels split at declared ordinates
         n = self.n
-        nf = self.nf
-        a_ast, b_ast = nf.a_ast, nf.b_ast
+        a_ast, b_ast = self.nf.a_ast, self.nf.b_ast
         centers = (np.arange(n) + 0.5) / n
-        edges = np.concatenate([[0.0], centers])
-        ords = nf.sigma_ordinates()
-
-        def leg_integrals(ast, fixed_x=None):
-            # integral over [edges[m], edges[m+1]] for every m, GL panels,
-            # split at degenerate ordinates
-            segs = []
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                cut = sorted({lo, hi} | {o for o in ords
-                                         if fixed_x is not None and lo < o < hi})
-                segs.append(list(zip(cut[:-1], cut[1:])))
-            out = np.zeros((n,) if fixed_x is None else (len(fixed_x), n),
-                           dtype=complex)
-            for m, pieces in enumerate(segs):
-                for lo, hi in pieces:
-                    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                    t = mid + half * _GL_NODES
-                    if fixed_x is None:
-                        vals = ep.eval_expr(a_ast, t, np.zeros_like(t))
-                        out[m] += half * np.sum(_GL_WEIGHTS * vals)
-                    else:
-                        xs = np.asarray(fixed_x)[:, None]
-                        vals = ep.eval_expr(b_ast, np.broadcast_to(
-                            xs, (len(fixed_x), GL_ORDER)), np.broadcast_to(
-                            t[None, :], (len(fixed_x), GL_ORDER)))
-                        out[:, m] += half * np.sum(_GL_WEIGHTS[None, :] * vals,
-                                                   axis=1)
-            return out
-
-        x_leg = np.cumsum(leg_integrals(a_ast))
-        y_legs = np.cumsum(leg_integrals(b_ast, fixed_x=centers), axis=1)
-        return x_leg[:, None] + y_legs
+        xe = np.concatenate([[0.0], centers])
+        x_leg = np.cumsum(np.sum(_gl_values(
+            lambda t: ep.eval_expr(a_ast, t, np.zeros_like(t)),
+            xe[:-1], xe[1:]), axis=-1))
+        ye = np.union1d(xe, [o for o in self.nf.sigma_ordinates()
+                             if 0.0 < o < centers[-1]])
+        y_panels = np.sum(_gl_values(
+            lambda t: ep.eval_expr(b_ast, *np.broadcast_arrays(
+                centers[:, None, None], t)),
+            ye[:-1], ye[1:]), axis=-1)
+        ends = np.searchsorted(ye, centers) - 1  # last panel below each center
+        return x_leg[:, None] + np.cumsum(y_panels, axis=1)[:, ends]
 
     def at(self, x, y) -> np.ndarray:
         """Z at arbitrary points (vectorized)."""
@@ -359,13 +337,15 @@ class ZEvaluator:
         cy = (iy + 0.5) / n
         dx = xr - cx
         dy = yr - cy
-        t = 0.5 * (_GL_NODES + 1.0)
-        w = 0.5 * _GL_WEIGHTS
-        px = cx[..., None] + np.multiply.outer(dx, t)
-        py = cy[..., None] + np.multiply.outer(dy, t)
-        av = ep.eval_expr(self.nf.a_ast, px, py)
-        bv = ep.eval_expr(self.nf.b_ast, px, py)
-        seg = np.sum(w * (av * dx[..., None] + bv * dy[..., None]), axis=-1)
+
+        def form(t):
+            # a dx + b dy along the segment from the center, at parameter t
+            px = cx[..., None] + np.multiply.outer(dx, t)
+            py = cy[..., None] + np.multiply.outer(dy, t)
+            return (ep.eval_expr(self.nf.a_ast, px, py) * dx[..., None]
+                    + ep.eval_expr(self.nf.b_ast, px, py) * dy[..., None])
+
+        seg = np.sum(_gl_values(form, 0.0, 1.0), axis=-1)
         return self.centers[ix, iy] + seg + jj + kk * self.tau
 
 

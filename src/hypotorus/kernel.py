@@ -43,20 +43,23 @@ point probe in the one to four cells whose closure holds it.  Rows are built
 in blocks of _ROW_BLOCK targets, refinement and singular cells included; a
 block bounds memory only, so W does not depend on it.
 
-The context picks how T is built and applied once, from the field:
+The context picks how T is built and applied once, from the field
+(strategy_for), and caches one array for it, built on first use:
 
 * circulant: when neither coefficient depends on x, the closed form has
   a = 1 and Z = x + phi(y), so the kernel depends on x - x' alone and T
   commutes with x-translations:
   W[(i, j), (i', j')] = R[j, (i' - i) mod n, j'], where R is the first n
-  rows of W.  Only R is built, O(n^3) work and memory; an apply is an FFT
-  along x with one n x n product per x-frequency, at every n.
+  rows of W.  Only R is built, O(n^3) work and memory, and only its
+  spectrum along x is kept; an apply is an FFT along x with one n x n
+  product per x-frequency, at every n.  operator_matrix expands W from
+  the spectrum on each call and caches nothing.
 
 * dense: otherwise, up to n = _MATRIX_MAX_N, all n^2 rows of W are cached
   and every apply is one matrix product.
 
-* streamed: above it W would not fit in memory, so each apply streams the
-  same rows block by block.
+* streamed: above it W would not fit in memory, so nothing is cached and
+  each apply streams the same rows block by block.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ import numpy as np
 
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
                    lattice_reduce, reduced_lattice_distance)
-from .field import NormalizedField, ZEvaluator, char_set_info, x_invariant
-from .theta import ThetaContext, theta_log_deriv_raw
+from .field import (FieldSpec, NormalizedField, ZEvaluator, char_set_info,
+                    x_invariant)
+from .theta import ThetaContext, theta_log_deriv, theta_log_deriv_raw
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
@@ -106,13 +110,9 @@ class KernelContext:
     coeff_size: np.ndarray = field(repr=False, init=False)
     # "circulant", "dense" or "streamed": how T is built and applied
     strategy: str = field(init=False)
-    # dense weight matrix, built by operator_matrix for n <= _MATRIX_MAX_N;
-    # the dense strategy applies T through it, the circulant one never does
-    _wmat: np.ndarray | None = field(repr=False, init=False, default=None)
-    # circulant strategy: the first n rows R of W and their spectrum along x,
-    # built together on first use
-    _rows: np.ndarray | None = field(repr=False, init=False, default=None)
-    _spectrum: np.ndarray | None = field(repr=False, init=False, default=None)
+    # the one cached operator, built on first use by _cached_operator: W for
+    # the dense strategy, the spectrum of R along x for the circulant one
+    _operator: np.ndarray | None = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
         if self.n < 8:
@@ -123,12 +123,7 @@ class KernelContext:
         if not char_set_info(self.nf).sign_fixed:
             raise HypotorusError("orientation is not fixed: Im(a*conj(b)) "
                                  "takes both signs on the torus")
-        if x_invariant(self.nf):
-            self.strategy = "circulant"
-        elif self.n <= _MATRIX_MAX_N:
-            self.strategy = "dense"
-        else:
-            self.strategy = "streamed"
+        self.strategy = strategy_for(self.nf, self.n)
         self.zeval = ZEvaluator(self.nf, self.n)
         x, y = grid_centers(self.n)
         self.coeff_size = (np.abs(self.nf.a(x, y))
@@ -164,6 +159,14 @@ class KernelContext:
         return self.refine_depth + bump
 
 
+def strategy_for(fld: FieldSpec | NormalizedField, n: int) -> str:
+    """How T is built and applied for the field fld at grid size n:
+    "circulant", "dense" or "streamed"."""
+    if x_invariant(fld):
+        return "circulant"
+    return "dense" if n <= _MATRIX_MAX_N else "streamed"
+
+
 def kernel_context(nf: NormalizedField, n: int, refine_depth: int = 6,
                    theta_tol: float = 1e-14) -> KernelContext:
     return KernelContext(nf, ThetaContext(nf.lattice, theta_tol), n,
@@ -177,15 +180,12 @@ def kernel_m(ctx: KernelContext, p, s) -> complex:
 
     Shifting s by a lattice vector (j,k) changes the value by exactly
     -2*pi*i*k; as s approaches p the product with Z(s) - Z(p) tends to 1.
+    Raises PoleProximityError when source and target coincide on the torus.
     """
     pp, ss = as_point(p), as_point(s)
     zp = complex(ctx.zeval.at(pp.x, pp.y))
     zs = complex(ctx.zeval.at(ss.x, ss.y))
-    w, k = _reduce(ctx, zs - zp)
-    if float(_pole_distance(ctx, w)) < 1e-12:
-        raise HypotorusError(
-            "kernel is singular: source and target coincide on the torus")
-    return complex(theta_log_deriv_raw(ctx.theta, w, k))
+    return theta_log_deriv(ctx.theta, zs - zp + ctx.z0)
 
 
 def _reduce(ctx: KernelContext, arg):
@@ -333,38 +333,40 @@ def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
     return rows
 
 
-def _circulant(ctx: KernelContext):
-    """(R, spectrum) of a circulant context, built on first use.  R holds
-    the first n rows of W, those of the targets in the column x = h/2;
-    spectrum[k] is the n x n matrix sum_d R[:, d, :] exp(2 pi i k d / n)
-    that multiplies the k-th x-frequency of a density."""
-    if ctx._rows is None:
+def _cached_operator(ctx: KernelContext) -> np.ndarray:
+    """The context's one cached operator, built on first use.  Dense: W.
+    Circulant: the spectrum of R, the first n rows of W, those of the
+    targets in the column x = h/2; spectrum[k] is the n x n matrix
+    sum_d R[:, d, :] exp(2 pi i k d / n) that multiplies the k-th
+    x-frequency of a density."""
+    if ctx._operator is None:
         n = ctx.n
-        rows = _built_rows(ctx, n)
-        ctx._spectrum = np.ascontiguousarray(np.moveaxis(np.fft.ifft(
-            rows.reshape(n, n, n), axis=1, norm="forward"), 1, 0))
-        ctx._rows = rows
-    return ctx._rows, ctx._spectrum
+        if ctx.strategy == "circulant":
+            rows = _built_rows(ctx, n).reshape(n, n, n)
+            ctx._operator = np.ascontiguousarray(np.moveaxis(
+                np.fft.ifft(rows, axis=1, norm="forward"), 1, 0))
+        else:
+            ctx._operator = _built_rows(ctx, n * n)
+    return ctx._operator
 
 
 def operator_matrix(ctx: KernelContext) -> np.ndarray:
-    """Dense weight matrix W with T g = (W @ g.ravel()).reshape(n, n),
-    cached on the context.  Only available for moderate n."""
+    """Dense weight matrix W with T g = (W @ g.ravel()).reshape(n, n).
+    Only available for moderate n.  The dense strategy caches W on the
+    context; the circulant one expands it from its spectrum on each call."""
     if ctx.n > _MATRIX_MAX_N:
         raise HypotorusError(
             f"weight matrix at n={ctx.n} would exceed the memory budget")
-    if ctx._wmat is not None:
-        return ctx._wmat
+    if ctx.strategy != "circulant":
+        return _cached_operator(ctx)
     n = ctx.n
-    if ctx.strategy == "circulant":
-        r3 = _circulant(ctx)[0].reshape(n, n, n)
-        w = np.empty((n * n, n * n), dtype=complex)
-        for i in range(n):
-            # the targets in column i see R shifted by i cells along x
-            w[i * n:(i + 1) * n] = np.roll(r3, i, axis=1).reshape(n, n * n)
-    else:
-        w = _built_rows(ctx, n * n)
-    ctx._wmat = w
+    # R back from its spectrum, contiguous for the rolls below
+    r3 = np.ascontiguousarray(np.moveaxis(np.fft.fft(
+        _cached_operator(ctx), axis=0, norm="forward"), 0, 1))
+    w = np.empty((n * n, n * n), dtype=complex)
+    for i in range(n):
+        # the targets in column i see R shifted by i cells along x
+        w[i * n:(i + 1) * n] = np.roll(r3, i, axis=1).reshape(n, n * n)
     return w
 
 
@@ -375,7 +377,7 @@ def t_omega(ctx: KernelContext, g: GridFunction) -> GridFunction:
     n = ctx.n
     if ctx.strategy == "circulant":
         gk = np.fft.fft(g.values, axis=0)
-        tk = np.matmul(_circulant(ctx)[1], gk[:, :, None])[:, :, 0]
+        tk = np.matmul(_cached_operator(ctx), gk[:, :, None])[:, :, 0]
         return GridFunction(n, np.fft.ifft(tk, axis=0))
     gflat = g.values.ravel()
     if ctx.strategy == "dense":

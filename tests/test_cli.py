@@ -31,6 +31,12 @@ def test_parse_tau():
             cli._parse_tau(bad)
 
 
+def test_theta_check_refuses_malformed_modulus(capsys):
+    # "1.2.3" matches the number pattern but is not a float
+    assert cli.main(["theta-check", "--tau", "1.2.3+1i"]) == 1
+    assert "error: cannot parse lattice modulus" in capsys.readouterr().err
+
+
 def test_load_config_defaults(tmp_path):
     cfg = cli.load_config(write_cfg(tmp_path, {
         "field": {"builtin": "degenerate_sin2"},
@@ -68,6 +74,9 @@ def test_load_config_defaults(tmp_path):
     *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",
                   "sigma": [{"sigma_i": 2, "hint": hint}]}},
        "/field/sigma/0/hint") for hint in ("y=0/1", "y=nan", "y=1e999")),
+    *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",
+                  "sigma": [{"sigma_i": sv, "hint": "y=0"}]}},
+       "/field/sigma/0/sigma_i") for sv in (float("nan"), float("inf"))),
 ])
 def test_load_config_pointers(tmp_path, patch, pointer):
     base = {"field": {"builtin": "elliptic"}, "equation": "f",

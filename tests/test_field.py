@@ -9,7 +9,6 @@ from hypotorus.field import (
     FieldSpec,
     SigmaComponent,
     char_set_info,
-    coeff_eval,
     first_integral,
     integrate_line,
     parse_sigma_hint,
@@ -65,7 +64,7 @@ def test_normalize_elliptic_identity(nf_elliptic):
     nf = nf_elliptic
     assert not nf.flip_y
     assert abs(nf.tau - 1j) < 1e-12
-    a, b = coeff_eval(nf, (0.3, 0.7))
+    a, b = nf.a(0.3, 0.7), nf.b(0.3, 0.7)
     assert abs(a - 1) < 1e-12 and abs(b - 1j) < 1e-12
 
 
@@ -75,7 +74,7 @@ def test_normalize_flips_reversed_orientation():
     nf = normalize(spec)
     assert nf.flip_y
     assert abs(nf.tau - 1j) < 1e-12
-    a, b = coeff_eval(nf, (0.1, 0.6))
+    a, b = nf.a(0.1, 0.6), nf.b(0.1, 0.6)
     assert abs(a - 1) < 1e-12 and abs(b - 1j) < 1e-12
     # declared circles move with the reflection
     assert nf.sigma_ordinates() == (0.75,)
@@ -132,6 +131,19 @@ def test_zevaluator_exact_vs_quadrature(nf_deg_sin2):
     v1 = ze_exact.at(pts[:, 0], pts[:, 1])
     v2 = ze_quad.at(pts[:, 0], pts[:, 1])
     assert np.max(np.abs(v1 - v2)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_zevaluator_splits_columns_at_interior_circle(n):
+    # a declared circle at y = 0.3 lies inside a cell, where b has a kink;
+    # the quadrature centres split their y panels there, as first_integral
+    # does
+    spec = FieldSpec("custom", "1", "i*abs(sin(pi*(y-0.3)))^3", None,
+                     (SigmaComponent(3.0, 0.3, "y=0.3"),))
+    nf = normalize(spec)
+    c = (np.arange(n) + 0.5) / n
+    want = np.array([[first_integral(nf, (x, y)) for y in c] for x in c])
+    assert np.max(np.abs(ZEvaluator(nf, n).centers - want)) < 1e-12
 
 
 def test_zevaluator_layout_and_periods(nf_elliptic):

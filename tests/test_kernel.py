@@ -16,7 +16,8 @@ from hypotorus import (
 from hypotorus import core
 from hypotorus import exprparser as ep
 from hypotorus import kernel as kn
-from hypotorus.core import grid_centers, lattice_distance
+from hypotorus.core import (grid_centers, lattice_reduce,
+                            reduced_lattice_distance)
 from hypotorus.field import (FieldSpec, SigmaComponent, build_field,
                              coeff_grid, normalize, x_invariant)
 from hypotorus.solvers import solve_a
@@ -87,7 +88,7 @@ def test_building_a_context_evaluates_no_kernel_value(nf_deg_sin2,
 
     monkeypatch.setattr(kn, "theta_log_deriv_raw", refuse)
     ctx = kernel_context(nf_deg_sin2, 16)
-    assert ctx._wmat is None
+    assert ctx._operator is None
 
 
 def test_kernel_m_lattice_shift(ctx_elliptic_16):
@@ -287,7 +288,7 @@ def test_circulant_matches_stacked_rows(name, n):
 
 
 def test_circulant_rows_are_built_once(nf_deg_sin2, monkeypatch):
-    # operator_matrix leaves the n rows cached, so an apply builds nothing
+    # operator_matrix leaves the spectrum cached, so an apply builds nothing
     ctx = kernel_context(nf_deg_sin2, 16)
     operator_matrix(ctx)
 
@@ -299,6 +300,18 @@ def test_circulant_rows_are_built_once(nf_deg_sin2, monkeypatch):
     t_omega(ctx, g)
 
 
+def test_circulant_context_caches_one_array(nf_deg_sin2):
+    # the spectrum is the only cache: W is expanded from it on each call
+    n = 16
+    ctx = kernel_context(nf_deg_sin2, n)
+    t_omega(ctx, GridFunction.from_callable(n, lambda x, y: np.sin(x + y)))
+    w1, w2 = operator_matrix(ctx), operator_matrix(ctx)
+    cached = [v for v in vars(ctx).values()
+              if isinstance(v, np.ndarray) and v.size >= n ** 3]
+    assert [a.shape for a in cached] == [(n, n, n)]
+    assert w1 is not w2 and np.array_equal(w1, w2)
+
+
 def test_circulant_build_is_thread_count_invariant(nf_deg_sin2,
                                                   monkeypatch):
     # n=128 is 128 rows, two row blocks, so four threads share the build
@@ -308,14 +321,15 @@ def test_circulant_build_is_thread_count_invariant(nf_deg_sin2,
     for threads in ("1", "4"):
         monkeypatch.setenv("HYPOTORUS_THREADS", threads)
         ctx = kernel_context(nf_deg_sin2, 128)
-        runs.append((t_omega(ctx, g).values, ctx._rows))
+        runs.append((t_omega(ctx, g).values, ctx._operator))
     assert np.array_equal(runs[0][1], runs[1][1])
     assert np.array_equal(runs[0][0], runs[1][0])
 
 
 def test_lattice_dist(ctx_elliptic_16):
     z = np.array([0j, 1 + 0j, 2 + 3j, (1 + 1j) / 2])
-    d = lattice_distance(z, ctx_elliptic_16.tau)
+    tau = ctx_elliptic_16.tau
+    d = reduced_lattice_distance(lattice_reduce(z, tau)[0], tau)
     assert np.allclose(d[:3], 0.0, atol=1e-12)
     assert abs(d[3] - np.sqrt(2) / 2) < 1e-12
 
