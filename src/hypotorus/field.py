@@ -24,11 +24,17 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 
 @dataclass(frozen=True)
 class SigmaComponent:
-    """One declared degenerate circle with its vanishing order."""
+    """One declared degenerate circle with its vanishing order.  The
+    ordinate y0 is reduced into [0, 1) here, once, for every caller."""
 
     sigma: float
     y0: float | None
     label: str
+
+    def __post_init__(self):
+        if self.y0 is not None:
+            # a tiny negative y0 rounds to 1.0 under % 1.0
+            object.__setattr__(self, "y0", float(self.y0) % 1.0 % 1.0)
 
 
 @dataclass(frozen=True)
@@ -223,7 +229,7 @@ def normalize(spec: FieldSpec) -> NormalizedField:
     components = spec.components
     if flip:
         components = tuple(
-            SigmaComponent(c.sigma, None if c.y0 is None else (-c.y0) % 1.0,
+            SigmaComponent(c.sigma, None if c.y0 is None else -c.y0,
                            f"{c.label} (reflected)")
             for c in components)
     return NormalizedField(

@@ -41,7 +41,9 @@ One function finishes the row of any target from its Z value and its
 singular cells: a grid target is singular in its own cell at the center, a
 point probe in the one to four cells whose closure holds it.  Rows are built
 in blocks of _ROW_BLOCK targets, refinement and singular cells included; a
-block bounds memory only, so W does not depend on it.
+block bounds memory only, so W does not depend on it.  Between the point
+rows at (x, 0) and (x, 1) only the kernel's lattice index moves, so their
+difference has a closed form that needs no kernel value (t_omega_y_jump).
 
 The context picks how T is built and applied once, from the field
 (strategy_for), and caches one array for it, built on first use:
@@ -405,6 +407,16 @@ def _axis_cells(c: float, n: int):
     return [(i % n, f - i - 0.5)]
 
 
+def _point_cells(ctx: KernelContext, x: float, y: float):
+    """Singular pairs (0, cell, ox, oy, depth) of the point row at (x, y):
+    every cell whose closure holds the point mod 1."""
+    n = ctx.n
+    depth = ctx.quadtree_depth(y)
+    return [(0, i * n + j, ox, oy, depth)
+            for (i, ox) in _axis_cells(x, n)
+            for (j, oy) in _axis_cells(y, n)]
+
+
 def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
     """Evaluate T g at an arbitrary point of the universal cover.
 
@@ -417,11 +429,24 @@ def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     pp = as_point(p)
-    n = ctx.n
     zp = complex(ctx.zeval.at(pp.x, pp.y))
-    depth = ctx.quadtree_depth(pp.y)
-    sing = [(0, i * n + j, ox, oy, depth)
-            for (i, ox) in _axis_cells(pp.x, n)
-            for (j, oy) in _axis_cells(pp.y, n)]
-    row = _target_rows(ctx, np.array([zp]), sing)[0]
+    row = _target_rows(ctx, np.array([zp]), _point_cells(ctx, pp.x, pp.y))[0]
     return complex(row @ g.values.ravel())
+
+
+def t_omega_y_jump(ctx: KernelContext, g: GridFunction, x: float) -> complex:
+    """T g (x, 1) - T g (x, 0), in closed form: no kernel value is needed.
+
+    t_omega_point builds both rows over the same singular cells, and the
+    kernel's lattice index moves by exactly one between them, so every
+    cell weight moves by minus the area it integrates over: h^2, less the
+    blocks a singular quadtree drops around the probe.  The jump is
+    -mean(g) plus g on each singular cell times its dropped area.
+    """
+    if g.n != ctx.n:
+        raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
+    jump = -complex(np.mean(g.values))
+    for _, c, ox, oy, depth in _point_cells(ctx, x, 0.0):
+        side = _singular_squares(ox, oy, int(depth))[2]
+        jump += g.values.flat[c] * ctx.h ** 2 * (1.0 - np.sum(side * side))
+    return jump

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridFunction, HypotorusError, Lattice
-from .kernel import KernelContext, t_omega, t_omega_point
+from .kernel import KernelContext, t_omega, t_omega_point, t_omega_y_jump
 from .verify import ResidualReport, apply_l_fd, residual_report
 
-OFFSET_SAMPLES = 8      # boundary abscissae for the offset-constancy probe
+OFFSET_SAMPLES = 8      # boundary abscissae for the offset constancy
 MEAN_TOL = 1e-8         # relative gate on |mean f| for Lu = f solvability
 RESIDUAL_BOUND = 0.25   # a "yes" needs residual_sup <= this * (1 + sup|rhs|)
 
@@ -73,17 +73,15 @@ def mean_integral(g: GridFunction) -> complex:
 def _boundary_offsets(ctx: KernelContext, g: GridFunction) -> float:
     """Spread of T g (x, 1) - T g (x, 0) over OFFSET_SAMPLES abscissae.
 
-    The row engine shifts the kernel's lattice index k by exactly one
-    between the two probes, so each offset is -mean(g) plus
-    h^2 * 4^-depth times the sum of g over the probe's singular cells, the
-    quadtree blocks dropped around it.  The spread therefore checks the
-    lattice-shift bookkeeping of point rows, and the variation of g over
-    the dropped blocks; it does not measure quadrature error.
+    Each offset comes in closed form from t_omega_y_jump: -mean(g) plus g
+    on the probe's singular cells times the area their quadtrees drop
+    around it, which is what two t_omega_point probes give, since the
+    kernel's lattice index moves by exactly one between them.  The spread
+    follows how much g varies over the dropped blocks; it does not measure
+    quadrature error.
     """
     xs = (np.arange(OFFSET_SAMPLES) + 0.5) / OFFSET_SAMPLES
-    offs = np.array([
-        t_omega_point(ctx, g, (x, 1.0)) - t_omega_point(ctx, g, (x, 0.0))
-        for x in xs])
+    offs = np.array([t_omega_y_jump(ctx, g, x) for x in xs])
     return float(np.abs(offs - offs.mean()).max())
 
 
@@ -100,10 +98,11 @@ class NuEstimate:
 
 
 def nu_estimates(ctx: KernelContext, a_fn: GridFunction) -> NuEstimate:
-    """nu(A) = -(1/2pi i) integral of A.  The grid mean is authoritative;
-    the boundary jump T A (0, 1) - T A (0, 0) equals the same integral up
-    to the quadtree blocks dropped around the two probes (see
-    _boundary_offsets), so their discrepancy checks the lattice-shift
+    """nu(A) = -(1/2pi i) integral of A.  The grid mean is authoritative
+    and is the one solve_a uses; the boundary jump is probed with two
+    t_omega_point rows, T A (0, 1) - T A (0, 0).  It equals the same
+    integral up to the quadtree blocks dropped around the probes (see
+    t_omega_y_jump), so their discrepancy checks the lattice-shift
     bookkeeping of point rows, not the quadrature."""
     two_pi_i = 2.0j * np.pi
     nu_mean = -mean_integral(a_fn) / two_pi_i
@@ -194,12 +193,10 @@ def solve_a(ctx: KernelContext, a_fn: GridFunction,
             lattice_tol: float = 1e-6) -> SolveReport:
     """Lu = Au is solvable iff nu(A) lies on the lattice; then
     u = exp(T A - 2pi i k Z) is a nonvanishing doubly periodic solution."""
-    est = nu_estimates(ctx, a_fn)
-    nu = est.mean
+    nu = -mean_integral(a_fn) / (2.0j * np.pi)
     tol, tol_note = _lattice_tols(a_fn.values, abs(nu), lattice_tol)
     jk = lattice_project(nu, ctx.nf.lattice, tol)
-    nu_note = (f"nu(A) = {nu:.8g}; boundary-formula discrepancy "
-               f"{est.discrepancy:.2e}; {tol_note}")
+    nu_note = f"nu(A) = {nu:.8g}; {tol_note}"
     if jk is None:
         return SolveReport(solvable="no", nu=nu,
                            notes=nu_note + "; nu is not a lattice point")

@@ -146,6 +146,19 @@ def test_zevaluator_splits_columns_at_interior_circle(n):
     assert np.max(np.abs(ZEvaluator(nf, n).centers - want)) < 1e-12
 
 
+@pytest.mark.parametrize("hint", [1.3, -0.7])
+def test_declared_ordinate_is_reduced_mod_1(hint):
+    # the circle of the test above declared one period away: every caller
+    # of the ordinate sees it in [0, 1), so the centres split where they
+    # do for y = 0.3
+    def centers(y0):
+        spec = FieldSpec("custom", "1", "i*abs(sin(pi*(y-0.3)))^3", None,
+                         (SigmaComponent(3.0, y0, f"y={y0}"),))
+        return ZEvaluator(normalize(spec), 16).centers
+
+    assert np.max(np.abs(centers(hint) - centers(0.3))) <= 1e-14
+
+
 def test_zevaluator_layout_and_periods(nf_elliptic):
     ze = ZEvaluator(nf_elliptic, 8)
     # axis 0 is x: moving one cell in x adds 1/8 to Re Z

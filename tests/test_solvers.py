@@ -18,7 +18,7 @@ from hypotorus import (
     t_omega,
     t_omega_point,
 )
-from hypotorus.kernel import kernel_context
+from hypotorus.kernel import kernel_context, t_omega_y_jump
 from hypotorus import solvers as sv
 
 TWO_PI_I = 2.0j * np.pi
@@ -51,12 +51,14 @@ def test_nu_boundary_formula_agrees(ctx_elliptic_16):
     assert est.discrepancy < 1e-4
 
 
-@pytest.mark.parametrize("nf_name", ["nf_elliptic", "nf_deg_sin2"])
+@pytest.mark.parametrize("nf_name", ["nf_elliptic", "nf_deg_sin2",
+                                     "nf_perturbed", "nf_deg_2d"])
 def test_boundary_offsets_are_the_dropped_blocks(request, nf_name):
     # The kernel's lattice index moves by exactly one between (x, 0) and
     # (x, 1), so T g (x, 1) - T g (x, 0) is -mean(g) plus what the singular
-    # quadtrees leave out: at these abscissae the probe is a corner of four
-    # cells, each of which drops one block of side h * 2^-depth.
+    # quadtrees leave out: at the sample abscissae the probe is a corner of
+    # four cells, each of which drops one block of side h * 2^-depth.  The
+    # probes tie t_omega_y_jump's closed form to point evaluation.
     n = 16
     ctx = kernel_context(request.getfixturevalue(nf_name), n)
     rng = np.random.default_rng(44)
@@ -74,10 +76,35 @@ def test_boundary_offsets_are_the_dropped_blocks(request, nf_name):
         got = (t_omega_point(ctx, g, (x, 1.0))
                - t_omega_point(ctx, g, (x, 0.0)))
         assert abs(got - (dropped[x] - mean_integral(g))) < 1e-13
+        assert abs(t_omega_y_jump(ctx, g, x) - got) < 1e-13
+    # off a cell corner the probe sits on an edge of two cells, inside
+    # their columns, and the closed form still matches the probes
+    for x in (0.1234, 0.37):
+        got = (t_omega_point(ctx, g, (x, 1.0))
+               - t_omega_point(ctx, g, (x, 0.0)))
+        assert abs(t_omega_y_jump(ctx, g, x) - got) < 1e-13
     # so offset_constancy is the spread of the dropped blocks' share
     share = np.array([dropped[x] for x in samples])
     spread = np.abs(share - share.mean()).max()
     assert abs(sv._boundary_offsets(ctx, g) - spread) < 1e-13
+
+
+def test_solvers_make_no_point_probe(ctx_elliptic_16, monkeypatch):
+    # every verdict, offset constancy included, comes without a probe
+    def probe(*args, **kwargs):
+        raise AssertionError("t_omega_point called on the solve path")
+
+    monkeypatch.setattr(sv, "t_omega_point", probe)
+    ctx = ctx_elliptic_16
+    f = GridFunction.from_callable(
+        16, lambda x, y: np.exp(TWO_PI_I * (x + y)))
+    a_fn = GridFunction.from_callable(
+        16, lambda x, y: 0.3 * np.sin(2 * np.pi * x))
+    b_fn = GridFunction.from_callable(
+        16, lambda x, y: 0.05 * np.exp(TWO_PI_I * y))
+    assert solve_f(ctx, f).solvable == "yes"
+    assert solve_a(ctx, a_fn).solvable == "yes"
+    assert solve_ab(ctx, a_fn, b_fn).solvable == "yes"
 
 
 def test_lattice_project():
