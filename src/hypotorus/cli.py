@@ -23,8 +23,7 @@ from . import exprparser as ep
 from .core import GridFunction, HypotorusError, grid_centers
 from .field import (BUILTIN_NAMES, FieldSpec, SigmaComponent, build_field,
                     char_set_info, coeff_grid, normalize, parse_sigma_hint)
-from .kernel import (_MATRIX_MAX_N, kernel_context, strategy_for, t_omega,
-                     t_omega_point)
+from .kernel import kernel_context, strategy_for, t_omega, t_omega_point
 from .solvers import mean_integral, solve_a, solve_ab, solve_f
 from .theta import theta_context, theta_eval
 from .verify import (ResidualReport, apply_l_fd, convergence_study,
@@ -183,16 +182,15 @@ def _rhs_from_config(obj, path, equation) -> dict:
     return out
 
 
-def _grid_size_error(spec: FieldSpec, equation: str, n: int) -> str | None:
-    """Why a solve of `equation` on the field `spec` at grid size n is
-    refused, or None if it is not."""
+def _grid_size_error(spec: FieldSpec, n: int) -> str | None:
+    """Why a solve on the field `spec` at grid size n is refused, or None if
+    it is not: n outside [16, 256], or kernel.strategy_for's refusal."""
     if not 16 <= n <= 256:
         return f"{n} outside [16, 256]"
-    if equation == "ab" and strategy_for(spec, n) == "streamed":
-        return (f"equation 'ab' on a field whose coefficients depend on x "
-                f"needs grid_n <= {_MATRIX_MAX_N}, got {n}: above it the "
-                f"weight matrix is not cached, so each of the solve's Picard "
-                f"steps streams the whole O(n^4) operator again")
+    try:
+        strategy_for(spec, n)
+    except HypotorusError as exc:
+        return str(exc)
     return None
 
 
@@ -210,7 +208,7 @@ def load_config(path: str) -> CaseConfig:
     if "field" not in raw:
         raise ConfigError("/field", "required")
     spec = _field_from_config(raw["field"], "/field")
-    # the allowed range depends on the equation: _grid_size_error below
+    # the allowed range depends on the field: _grid_size_error below
     grid_n = _get_int(raw, "", "grid_n", 64, -math.inf, math.inf)
     equation = raw.get("equation")
     if equation not in ("f", "a", "ab"):
@@ -219,7 +217,7 @@ def load_config(path: str) -> CaseConfig:
     if "rhs" not in raw:
         raise ConfigError("/rhs", "required")
     rhs = _rhs_from_config(raw["rhs"], "/rhs", equation)
-    size_error = _grid_size_error(spec, equation, grid_n)
+    size_error = _grid_size_error(spec, grid_n)
     if size_error:
         raise ConfigError("/grid_n", size_error)
 
@@ -467,7 +465,7 @@ def _cmd_convergence(args) -> int:
         raise HypotorusError(
             f"cannot parse --sizes {args.sizes!r}") from exc
     for n in sizes:
-        size_error = _grid_size_error(cfg.spec, cfg.equation, n)
+        size_error = _grid_size_error(cfg.spec, n)
         if size_error:
             raise HypotorusError(f"--sizes: {size_error}")
     verdicts = []

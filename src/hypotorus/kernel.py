@@ -57,11 +57,10 @@ The context picks how T is built and applied once, from the field
   product per x-frequency, at every n.  operator_matrix expands W from
   the spectrum on each call and caches nothing.
 
-* dense: otherwise, up to n = _MATRIX_MAX_N, all n^2 rows of W are cached
-  and every apply is one matrix product.
-
-* streamed: above it W would not fit in memory, so nothing is cached and
-  each apply streams the same rows block by block.
+* dense: otherwise all n^2 rows of W are built, O(n^4) work, cached, and
+  every apply is one matrix product.  W would not fit in memory above
+  n = _MATRIX_MAX_N, so strategy_for refuses such a field there before any
+  kernel value is computed.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ class KernelContext:
     zeval: ZEvaluator = field(repr=False, init=False)
     # |a| + |b| at cell centers: the local Z-stretch of a cell
     coeff_size: np.ndarray = field(repr=False, init=False)
-    # "circulant", "dense" or "streamed": how T is built and applied
+    # "circulant" or "dense": how T is built and applied
     strategy: str = field(init=False)
     # the one cached operator, built on first use by _cached_operator: W for
     # the dense strategy, the spectrum of R along x for the circulant one
@@ -163,10 +162,16 @@ class KernelContext:
 
 def strategy_for(fld: FieldSpec | NormalizedField, n: int) -> str:
     """How T is built and applied for the field fld at grid size n:
-    "circulant", "dense" or "streamed"."""
+    "circulant" or "dense".  Raises HypotorusError when neither serves it:
+    a field that depends on x above n = _MATRIX_MAX_N."""
     if x_invariant(fld):
         return "circulant"
-    return "dense" if n <= _MATRIX_MAX_N else "streamed"
+    if n > _MATRIX_MAX_N:
+        raise HypotorusError(
+            f"a field whose coefficients depend on x needs grid_n <= "
+            f"{_MATRIX_MAX_N}, got {n}: above it the O(n^4) weight matrix "
+            f"would not fit in memory")
+    return "dense"
 
 
 def kernel_context(nf: NormalizedField, n: int, refine_depth: int = 6,
@@ -309,29 +314,24 @@ def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
     return _target_rows(ctx, ctx.z_centers.ravel()[r0:r1], sing)
 
 
-def _run_row_blocks(ctx: KernelContext, fn, total: int):
-    """Call fn on blocks (r0, r1) covering flat grid targets [0, total), on
+def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
+    """Rows [0, total) of W, built in blocks of _ROW_BLOCK rows on
     thread_count() threads.  The context is complete when it is made, so
     the threads only read shared state."""
-    blocks = [(r, min(r + _ROW_BLOCK, total))
-              for r in range(0, total, _ROW_BLOCK)]
-    threads = thread_count()
-    if threads == 1:
-        list(map(fn, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fn, blocks))
-
-
-def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
-    """Rows [0, total) of W, built block by block."""
     rows = np.empty((total, ctx.n * ctx.n), dtype=complex)
 
     def fill(block):
         r0, r1 = block
         rows[r0:r1] = _operator_rows(ctx, r0, r1)
 
-    _run_row_blocks(ctx, fill, total)
+    blocks = [(r, min(r + _ROW_BLOCK, total))
+              for r in range(0, total, _ROW_BLOCK)]
+    threads = thread_count()
+    if threads == 1:
+        list(map(fill, blocks))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, blocks))
     return rows
 
 
@@ -381,17 +381,8 @@ def t_omega(ctx: KernelContext, g: GridFunction) -> GridFunction:
         gk = np.fft.fft(g.values, axis=0)
         tk = np.matmul(_cached_operator(ctx), gk[:, :, None])[:, :, 0]
         return GridFunction(n, np.fft.ifft(tk, axis=0))
-    gflat = g.values.ravel()
-    if ctx.strategy == "dense":
-        return GridFunction(n, (operator_matrix(ctx) @ gflat).reshape(n, n))
-    out = np.empty(n * n, dtype=complex)
-
-    def fill(block):
-        r0, r1 = block
-        out[r0:r1] = _operator_rows(ctx, r0, r1) @ gflat
-
-    _run_row_blocks(ctx, fill, n * n)
-    return GridFunction(n, out.reshape(n, n))
+    return GridFunction(
+        n, (operator_matrix(ctx) @ g.values.ravel()).reshape(n, n))
 
 
 # ------------------------------------------------------ point evaluation

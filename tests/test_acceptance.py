@@ -1,7 +1,7 @@
 """Acceptance checks, one test per criterion, each printing a PASS/FAIL line.
 
-Grid-heavy criteria share the session kernel contexts from conftest; the
-n=128 runs stream their quadrature and are the slow part of the suite.
+Grid-heavy criteria share the session kernel contexts from conftest; c08's
+dense n=64 build for a field that depends on x is the slow part of the suite.
 """
 
 import json

@@ -77,6 +77,10 @@ def test_load_config_defaults(tmp_path):
     *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",
                   "sigma": [{"sigma_i": sv, "hint": "y=0"}]}},
        "/field/sigma/0/sigma_i") for sv in (float("nan"), float("inf"))),
+    ({"field": {"builtin": "degenerate_2d"}, "equation": "f",
+      "rhs": {"f": "1"}, "grid_n": 96}, "/grid_n"),
+    ({"field": {"builtin": "degenerate_2d"}, "equation": "a",
+      "rhs": {"A": "1"}, "grid_n": 96}, "/grid_n"),
 ])
 def test_load_config_pointers(tmp_path, patch, pointer):
     base = {"field": {"builtin": "elliptic"}, "equation": "f",

@@ -172,32 +172,16 @@ def test_point_eval_edge_offsets_exact_off_power_of_two(nf_elliptic):
         assert abs(corner - near) < 1e-4
 
 
-def test_streamed_matches_matrix_path(nf_perturbed, nf_deg_2d,
-                                      monkeypatch):
-    # degenerate_2d puts bumped rows near its circle through both paths
-    g = GridFunction.from_callable(
-        16, lambda x, y: np.sin(np.pi * y) ** 2 + 0.5j * np.cos(2 * np.pi * x))
-    for nf in (nf_perturbed, nf_deg_2d):
-        want = t_omega(kernel_context(nf, 16), g)
-        with monkeypatch.context() as m:
-            m.setattr(kn, "_MATRIX_MAX_N", 8)
-            got = t_omega(kernel_context(nf, 16), g)
-        assert np.max(np.abs(got.values - want.values)) < 1e-12
-
-
 def test_threaded_run_is_deterministic(nf_perturbed, nf_deg_2d,
                                        monkeypatch):
-    # n=16 is four row blocks, so four threads really share the work;
-    # degenerate_2d puts refined rows next to its circle into the run
-    g = GridFunction.from_callable(
-        16, lambda x, y: np.exp(2j * np.pi * (x - y)))
-    monkeypatch.setattr(kn, "_MATRIX_MAX_N", 8)  # force the blocked path
+    # n=16 is four 64-row blocks, so four threads really share the dense
+    # build; degenerate_2d puts refined rows next to its circle into it
     for nf in (nf_perturbed, nf_deg_2d):
         monkeypatch.setenv("HYPOTORUS_THREADS", "1")
-        one = t_omega(kernel_context(nf, 16), g)
+        one = operator_matrix(kernel_context(nf, 16))
         monkeypatch.setenv("HYPOTORUS_THREADS", "4")
-        four = t_omega(kernel_context(nf, 16), g)
-        assert np.array_equal(one.values, four.values)
+        four = operator_matrix(kernel_context(nf, 16))
+        assert np.array_equal(one, four)
 
 
 @pytest.mark.parametrize("name", ["nf_deg_sin2", "nf_deg_2d"])
@@ -265,7 +249,8 @@ def test_strategy_follows_the_field(nf_elliptic, nf_deg_sin2, nf_perturbed,
     for nf in (nf_perturbed, nf_deg_2d, normalize(NO_Z_EXACT)):
         assert not x_invariant(nf) and not x_invariant(nf.spec)
         assert kernel_context(nf, 16).strategy == "dense"
-        assert kernel_context(nf, 96).strategy == "streamed"
+        with pytest.raises(HypotorusError, match="grid_n <= 80"):
+            kernel_context(nf, 96)
 
 
 @pytest.mark.parametrize("n", [16, 32])
