@@ -318,12 +318,11 @@ def _write_csv(path: str, u: GridFunction | None, n: int):
         fh.write("x,y,re_u,im_u\n")
         if u is None:
             return
-        for i in range(n):
-            x = (i + 0.5) / n
-            for j in range(n):
-                y = (j + 0.5) / n
-                val = u.values[i, j]
-                fh.write(f"{x:.17g},{y:.17g},{val.real:.17g},{val.imag:.17g}\n")
+        c = [(i + 0.5) / n for i in range(n)]
+        vals = u.values.tolist()
+        fh.write("".join(
+            "%.17g,%.17g,%.17g,%.17g\n" % (c[i], c[j], v.real, v.imag)
+            for i in range(n) for j, v in enumerate(vals[i])))
 
 
 def _write_report(path: str, report, n: int, wall: float):

@@ -238,11 +238,23 @@ def normalize(spec: FieldSpec) -> NormalizedField:
         None if z_n is None else normalize_ast(z_n), components)
 
 
+def _free_of(fld: FieldSpec | NormalizedField, *names: str) -> bool:
+    return not any(ep.depends_on(ast, v)
+                   for ast in (fld.a_ast, fld.b_ast) for v in names)
+
+
 def x_invariant(fld: FieldSpec | NormalizedField) -> bool:
     """True when neither coefficient depends on x.  Normalization scales
     the coefficients and may reflect y, so a spec and its normalized field
     agree."""
-    return not (ep.depends_on(fld.a_ast, "x") or ep.depends_on(fld.b_ast, "x"))
+    return _free_of(fld, "x")
+
+
+def constant_coefficients(fld: FieldSpec | NormalizedField) -> bool:
+    """True when neither coefficient depends on x or on y, so Z is linear
+    and Z(p) - Z(s) depends on p - s alone.  A spec and its normalized
+    field agree, as for x_invariant."""
+    return _free_of(fld, "x", "y")
 
 
 def coeff_grid(nf: NormalizedField, n: int) -> tuple[np.ndarray, np.ndarray]:

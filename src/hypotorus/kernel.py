@@ -55,7 +55,13 @@ The context picks how T is built and applied once, from the field
   rows of W.  Only R is built, O(n^3) work and memory, and only its
   spectrum along x is kept; an apply is an FFT along x with one n x n
   product per x-frequency, at every n.  operator_matrix expands W from
-  the spectrum on each call and caches nothing.
+  the spectrum on each call and caches nothing.  When neither coefficient
+  depends on y either, Z is linear and the kernel depends on p - s alone,
+  except that a source wrapping across y = 1 shifts Z by tau and the
+  kernel by -2 pi i.  If every grid row also has one quadtree depth (no
+  declared circle deepens some), only row 0 is built, O(n^2) work:
+  R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], the -h^2 being
+  the -2 pi i jump times the row scale h^2 / (2 pi i).
 
 * dense: otherwise all n^2 rows of W are built, O(n^4) work, cached, and
   every apply is one matrix product.  W would not fit in memory above
@@ -69,13 +75,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
                    lattice_reduce, reduced_lattice_distance)
 from .field import (FieldSpec, NormalizedField, ZEvaluator, char_set_info,
-                    x_invariant)
+                    constant_coefficients, x_invariant)
 from .theta import ThetaContext, theta_log_deriv, theta_log_deriv_raw
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
@@ -248,11 +255,13 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
 
 # --------------------------------------------------------- row engine
 
+@lru_cache(maxsize=256)
 def _singular_squares(rx: float, ry: float, depth: int):
     """Evaluated squares of the singular cell's dyadic quadtree toward the
     point (rx, ry): x offsets, y offsets and sides, in units of h relative
     to the cell center.  Each level splits the squares that still contain
-    the point; the deepest squares containing it are dropped."""
+    the point; the deepest squares containing it are dropped.  Cached, so
+    the arrays come back read-only."""
     cx = cy = np.zeros(1)
     half = 0.5
     out_x, out_y, out_side = [], [], []
@@ -265,8 +274,11 @@ def _singular_squares(rx: float, ry: float, depth: int):
         out_y.append(ky[~keep])
         out_side.append(np.full(np.count_nonzero(~keep), 2.0 * half))
         cx, cy = kx[keep], ky[keep]
-    return (np.concatenate(out_x), np.concatenate(out_y),
-            np.concatenate(out_side))
+    out = (np.concatenate(out_x), np.concatenate(out_y),
+           np.concatenate(out_side))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
@@ -340,15 +352,27 @@ def _cached_operator(ctx: KernelContext) -> np.ndarray:
     Circulant: the spectrum of R, the first n rows of W, those of the
     targets in the column x = h/2; spectrum[k] is the n x n matrix
     sum_d R[:, d, :] exp(2 pi i k d / n) that multiplies the k-th
-    x-frequency of a density."""
+    x-frequency of a density.  When R also follows from its first row
+    (constant coefficients, one quadtree depth on every grid row), only
+    that row is built."""
     if ctx._operator is None:
         n = ctx.n
-        if ctx.strategy == "circulant":
+        if ctx.strategy == "dense":
+            ctx._operator = _built_rows(ctx, n * n)
+        elif (constant_coefficients(ctx.nf) and np.ptp(
+                ctx.quadtree_depth((np.arange(n) + 0.5) / n)) == 0):
+            # R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], as in
+            # the module docstring; the -h^2 is constant along d, so only
+            # the k = 0 spectrum sees it, n times
+            row0 = np.fft.ifft(_built_rows(ctx, 1).reshape(n, n), axis=0,
+                               norm="forward")
+            j = np.arange(n)
+            ctx._operator = row0[:, (j[None, :] - j[:, None]) % n]
+            ctx._operator[0] -= n * ctx.h ** 2 * (j[None, :] < j[:, None])
+        else:
             rows = _built_rows(ctx, n).reshape(n, n, n)
             ctx._operator = np.ascontiguousarray(np.moveaxis(
                 np.fft.ifft(rows, axis=1, norm="forward"), 1, 0))
-        else:
-            ctx._operator = _built_rows(ctx, n * n)
     return ctx._operator
 
 

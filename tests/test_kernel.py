@@ -32,6 +32,18 @@ NO_Z_EXACT = FieldSpec(
 # quadrature Z path
 X_INVARIANT_NO_Z = FieldSpec("custom", "1", "i*(1.5+sin(2*pi*y))", None, ())
 
+# constant coefficients with no z_exact and a non-rectangular tau: the
+# one-row circulant build on the quadrature Z path
+TILTED_NO_Z = FieldSpec("custom", "1", "0.3+0.8*i", None, ())
+
+# elliptic with a declared circle: its quadtree depth varies with y, so it
+# keeps the n-row circulant build
+ELLIPTIC_CIRCLE = FieldSpec("elliptic", "1", "i", "x + i*y",
+                            (SigmaComponent(2.0, 0.3, "y=0.3"),))
+
+CIRCULANT_SPECS = {"noz": X_INVARIANT_NO_Z, "tilted": TILTED_NO_Z,
+                   "elliptic_circle": ELLIPTIC_CIRCLE}
+
 
 def test_ring_offsets_geometry():
     # a point at the cell center: every level after the first emits a
@@ -254,11 +266,12 @@ def test_strategy_follows_the_field(nf_elliptic, nf_deg_sin2, nf_perturbed,
 
 
 @pytest.mark.parametrize("n", [16, 32])
-@pytest.mark.parametrize("name", ["elliptic", "degenerate_sin2", "noz"])
+@pytest.mark.parametrize("name", ["elliptic", "degenerate_sin2", "noz",
+                                  "tilted", "elliptic_circle"])
 def test_circulant_matches_stacked_rows(name, n):
-    # the n-row circulant build expanded to W, and the FFT apply, against
-    # all n^2 rows from the row engine
-    spec = X_INVARIANT_NO_Z if name == "noz" else build_field(name)
+    # the circulant build (one row or n rows) expanded to W, and the FFT
+    # apply, against all n^2 rows from the row engine
+    spec = CIRCULANT_SPECS.get(name) or build_field(name)
     ctx = kernel_context(normalize(spec), n)
     assert ctx.strategy == "circulant"
     want = np.vstack([kn._operator_rows(ctx, r, r + 64)
@@ -270,6 +283,26 @@ def test_circulant_matches_stacked_rows(name, n):
     wg = operator_matrix(ctx) @ g.values.ravel()
     got = t_omega(ctx, g).values.ravel()
     assert np.max(np.abs(got - wg)) <= 1e-13 * np.max(np.abs(wg))
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("elliptic", 1), ("tilted", 1), ("elliptic_circle", 16),
+    ("degenerate_sin2", 16)])
+def test_constant_coefficient_field_builds_one_row(name, rows, monkeypatch):
+    # T commutes with y-shifts too when neither coefficient depends on x or
+    # y and every grid row has one quadtree depth: row 0 gives all of R
+    spec = CIRCULANT_SPECS.get(name) or build_field(name)
+    ctx = kernel_context(normalize(spec), 16)
+    built = [0]
+    operator_rows = kn._operator_rows
+
+    def counting(ctx, r0, r1):
+        built[0] += r1 - r0
+        return operator_rows(ctx, r0, r1)
+
+    monkeypatch.setattr(kn, "_operator_rows", counting)
+    t_omega(ctx, GridFunction.from_callable(16, lambda x, y: np.sin(x + y)))
+    assert built[0] == rows
 
 
 def test_circulant_rows_are_built_once(nf_deg_sin2, monkeypatch):
