@@ -183,8 +183,9 @@ def _rhs_from_config(obj, path, equation) -> dict:
 
 
 def _grid_size_error(spec: FieldSpec, n: int) -> str | None:
-    """Why a solve on the field `spec` at grid size n is refused, or None if
-    it is not: n outside [16, 256], or kernel.strategy_for's refusal."""
+    """Why an operator on the field `spec` at grid size n is refused, or
+    None if it is not: n outside [16, 256], or kernel.strategy_for's
+    refusal."""
     if not 16 <= n <= 256:
         return f"{n} outside [16, 256]"
     try:
@@ -208,8 +209,9 @@ def load_config(path: str) -> CaseConfig:
     if "field" not in raw:
         raise ConfigError("/field", "required")
     spec = _field_from_config(raw["field"], "/field")
-    # the allowed range depends on the field: _grid_size_error below
-    grid_n = _get_int(raw, "", "grid_n", 64, -math.inf, math.inf)
+    # the field's own limit is checked where an operator is built:
+    # _load_operator_config
+    grid_n = _get_int(raw, "", "grid_n", 64, 16, 256)
     equation = raw.get("equation")
     if equation not in ("f", "a", "ab"):
         raise ConfigError("/equation",
@@ -217,10 +219,6 @@ def load_config(path: str) -> CaseConfig:
     if "rhs" not in raw:
         raise ConfigError("/rhs", "required")
     rhs = _rhs_from_config(raw["rhs"], "/rhs", equation)
-    size_error = _grid_size_error(spec, grid_n)
-    if size_error:
-        raise ConfigError("/grid_n", size_error)
-
     solver = dict(_SOLVER_DEFAULTS)
     sobj = raw.get("solver", {})
     _require_object(sobj, "/solver")
@@ -248,6 +246,17 @@ def load_config(path: str) -> CaseConfig:
     return CaseConfig(spec=spec, grid_n=grid_n, equation=equation, rhs=rhs,
                       solver=solver, refine_depth=refine_depth,
                       theta_tol=theta_tol)
+
+
+def _load_operator_config(path: str) -> CaseConfig:
+    """load_config for a command that builds the operator at grid_n: it
+    also refuses, at /grid_n, a grid that kernel.strategy_for refuses,
+    before any kernel value is computed."""
+    cfg = load_config(path)
+    size_error = _grid_size_error(cfg.spec, cfg.grid_n)
+    if size_error:
+        raise ConfigError("/grid_n", size_error)
+    return cfg
 
 
 # -------------------------------------------------------------- case setup
@@ -318,10 +327,11 @@ def _write_csv(path: str, u: GridFunction | None, n: int):
         fh.write("x,y,re_u,im_u\n")
         if u is None:
             return
-        c = [(i + 0.5) / n for i in range(n)]
+        # n distinct coordinates, each formatted once
+        c = ["%.17g" % ((i + 0.5) / n) for i in range(n)]
         vals = u.values.tolist()
         fh.write("".join(
-            "%.17g,%.17g,%.17g,%.17g\n" % (c[i], c[j], v.real, v.imag)
+            "%s,%s,%.17g,%.17g\n" % (c[i], c[j], v.real, v.imag)
             for i in range(n) for j, v in enumerate(vals[i])))
 
 
@@ -355,7 +365,7 @@ _VERDICT_EXIT = {"yes": EXIT_OK, "no": EXIT_NO,
 # ------------------------------------------------------------- subcommands
 
 def _cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_operator_config(args.config)
     t0 = time.perf_counter()
     report = _run_solve(cfg, cfg.grid_n)
     wall = time.perf_counter() - t0
@@ -411,7 +421,7 @@ _CHECK_PROBES = (("1", "1"),
 
 
 def _cmd_operator_check(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_operator_config(args.config)
     n = cfg.grid_n
     ctx, _ = _assemble_case(cfg, n)
     ok = True

@@ -23,6 +23,8 @@ s* = p mod 1 has three parts:
   first integral compresses distances so strongly that the pole is felt at
   points far from s* in grid metric (the near-circle mirror of the target,
   for instance).  The refined cell average replaces the midpoint sample.
+  When neither coefficient depends on x, Z and |a|+|b| are evaluated once
+  per distinct ordinate of a level's squares, not once per square.
 
 * Singular quadtree: each singular cell freezes the density at its own
   sample and integrates the kernel alone over a dyadic quadtree that
@@ -132,10 +134,20 @@ class KernelContext:
             raise HypotorusError("orientation is not fixed: Im(a*conj(b)) "
                                  "takes both signs on the torus")
         self.strategy = strategy_for(self.nf, self.n)
-        self.zeval = ZEvaluator(self.nf, self.n)
         x, y = grid_centers(self.n)
-        self.coeff_size = (np.abs(self.nf.a(x, y))
-                           + np.abs(self.nf.b(x, y))).astype(float)
+        a, b = self.nf.a(x, y), self.nf.b(x, y)
+        if self.strategy == "circulant":
+            # b does not depend on x, so d a / d y = d b / d x asks for a
+            # constant a, which Z(x, y) = Z(0, y) + a x relies on
+            a0 = a.flat[0]
+            if np.max(np.abs(a - a0)) > 1e-12 * abs(a0):
+                spec = self.nf.spec
+                raise HypotorusError(
+                    f"the form a dx + b dy is not closed: b = "
+                    f"{spec.b_src!r} does not depend on x, but a = "
+                    f"{spec.a_src!r} varies with y")
+        self.zeval = ZEvaluator(self.nf, self.n)
+        self.coeff_size = (np.abs(a) + np.abs(b)).astype(float)
 
     @property
     def tau(self) -> complex:
@@ -222,32 +234,56 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
     """Integral of the kernel over whole cells, one value per (target, cell)
     pair, by dyadic subdivision until each leaf is small in Z relative to
     its distance from the pole.  zt[i] is the target's Z value, cols[i] the
-    flat source-cell index."""
+    flat source-cell index.
+
+    Every square of a level has the same side.  Each square keeps the index
+    of its ordinate in a table of the level's distinct ordinates (about a
+    tenth as many near a degenerate circle); a child's table is its
+    parent's shifted by a quarter side either way, pruned to the entries
+    that split squares use.  A circulant context evaluates Z and |a| + |b|
+    once per ordinate, on that table: neither coefficient depends on x, so
+    a is constant and Z(x, y) = Z(0, y) + a x.  A dense context evaluates
+    them at every square."""
     n, h = ctx.n, ctx.h
     out = np.zeros(len(cols), dtype=complex)
     pair = np.arange(len(cols))
     mx = (cols // n + 0.5) * h
-    my = (cols % n + 0.5) * h
-    side = np.full(len(cols), h)
+    ys = (np.arange(n) + 0.5) * h  # the table of ordinates
+    row = cols % n                 # each square's index into it
+    side = h
     zt_sq = np.asarray(zt, dtype=complex).copy()
     for level in range(MAX_LEVEL + 1):
-        zs = ctx.zeval.at(mx, my)
+        if ctx.strategy == "circulant":
+            x0 = np.zeros_like(ys)
+            a, b = ctx.nf.a(x0, ys), ctx.nf.b(x0, ys)
+            zs = ctx.zeval.at(x0, ys)[row] + a[row] * mx
+            size = (np.abs(a) + np.abs(b))[row]
+        else:
+            my = ys[row]
+            zs = ctx.zeval.at(mx, my)
+            size = np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my))
         w, k = _reduce(ctx, zt_sq - zs)
         d = _pole_distance(ctx, w)
-        size = np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my))
         split = (side * size >= KAPPA * d) & (level < MAX_LEVEL)
         leaf = ~split
         if np.any(leaf):
             vals = (theta_log_deriv_raw(ctx.theta, w[leaf], k[leaf])
-                    * side[leaf] ** 2)
+                    * side ** 2)
             np.add.at(out, pair[leaf], vals)
         if not np.any(split):
             break
-        q = side[split] / 4.0
-        mx0, my0 = mx[split], my[split]
+        q = side / 4.0
+        # the children's table: the ordinates of split squares, less q
+        # and then plus q; children go below, above, below, above
+        keep = np.zeros(len(ys), dtype=bool)
+        keep[row[split]] = True
+        below = (np.cumsum(keep) - 1)[row[split]]
+        ys = np.concatenate([ys[keep] - q, ys[keep] + q])
+        above = below + len(ys) // 2
+        row = np.concatenate([below, above, below, above])
+        mx0 = mx[split]
         mx = np.concatenate([mx0 - q, mx0 - q, mx0 + q, mx0 + q])
-        my = np.concatenate([my0 - q, my0 + q, my0 - q, my0 + q])
-        side = np.tile(side[split] / 2.0, 4)
+        side /= 2.0
         pair = np.tile(pair[split], 4)
         zt_sq = np.tile(zt_sq[split], 4)
     return out

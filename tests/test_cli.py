@@ -68,8 +68,7 @@ def test_load_config_defaults(tmp_path):
     ({"theta": {"tol": 0.5}}, "/theta/tol"),
     ({"bogus": 1}, "/bogus"),
     ({"theta": {"tol": 1e-3}}, "/theta/tol"),
-    ({"field": {"builtin": "degenerate_2d"}, "equation": "ab",
-      "rhs": {"A": "1", "B": "0.1"}, "grid_n": 96}, "/grid_n"),
+    ({"grid_n": 257}, "/grid_n"),
     ({"solver": {"lattice_tol": 0.5}}, "/solver/lattice_tol"),
     *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",
                   "sigma": [{"sigma_i": 2, "hint": hint}]}},
@@ -77,10 +76,6 @@ def test_load_config_defaults(tmp_path):
     *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",
                   "sigma": [{"sigma_i": sv, "hint": "y=0"}]}},
        "/field/sigma/0/sigma_i") for sv in (float("nan"), float("inf"))),
-    ({"field": {"builtin": "degenerate_2d"}, "equation": "f",
-      "rhs": {"f": "1"}, "grid_n": 96}, "/grid_n"),
-    ({"field": {"builtin": "degenerate_2d"}, "equation": "a",
-      "rhs": {"A": "1"}, "grid_n": 96}, "/grid_n"),
 ])
 def test_load_config_pointers(tmp_path, patch, pointer):
     base = {"field": {"builtin": "elliptic"}, "equation": "f",
@@ -91,6 +86,34 @@ def test_load_config_pointers(tmp_path, patch, pointer):
     with pytest.raises(cli.ConfigError) as err:
         cli.load_config(write_cfg(tmp_path, base))
     assert f"schema error at {pointer}:" in str(err.value)
+
+
+# a field whose coefficients depend on x, at a grid its dense operator
+# cannot serve
+DEG_2D_96 = {"field": {"builtin": "degenerate_2d"}, "grid_n": 96}
+
+
+@pytest.mark.parametrize("equation, rhs", [
+    ("ab", {"A": "1", "B": "0.1"}), ("f", {"f": "1"}), ("a", {"A": "1"})])
+def test_operator_commands_refuse_x_dependent_grid_above_80(
+        tmp_path, monkeypatch, capsys, equation, rhs):
+    cfg = write_cfg(tmp_path, dict(DEG_2D_96, equation=equation, rhs=rhs))
+    calls = []
+    monkeypatch.setattr(cli, "_assemble_case", lambda *a: calls.append(a))
+    for argv in (["solve", "--out-prefix", str(tmp_path / "u")],
+                 ["operator-check"]):
+        assert cli.main(argv + ["--config", cfg]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "schema error at /grid_n:" in err and "grid_n <= 80" in err
+    assert calls == []
+    assert not (tmp_path / "u.report.json").exists()
+
+
+def test_field_info_takes_any_grid_size(tmp_path, capsys):
+    # field-info builds no operator, so the dense limit does not apply
+    cfg = write_cfg(tmp_path, dict(DEG_2D_96, equation="f", rhs={"f": "1"}))
+    assert cli.main(["field-info", "--config", cfg]) == cli.EXIT_OK
+    assert "declared order 2" in capsys.readouterr().out
 
 
 def test_load_config_ab_above_80_on_x_invariant_field(tmp_path):
@@ -208,6 +231,22 @@ def test_uncertified_yes_is_inconclusive(tmp_path):
     assert len(lines) == 1 + 16 * 16
 
 
+def test_csv_formats_every_value_with_17_digits(tmp_path):
+    n = 24
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    vals[3, 7] = complex(-0.0, 1e308)
+    vals[5, 0] = complex(2.5e-310, -0.0)
+    path = tmp_path / "u.csv"
+    cli._write_csv(str(path), GridFunction(n, vals), n)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0] == "x,y,re_u,im_u\n"
+    c = (np.arange(n) + 0.5) / n
+    assert lines[1:] == ["%.17g,%.17g,%.17g,%.17g\n"
+                         % (c[i], c[j], vals[i, j].real, vals[i, j].imag)
+                         for i in range(n) for j in range(n)]
+
+
 def test_solve_error_exit(tmp_path, capsys):
     rc = cli.main(["solve", "--config", str(tmp_path / "none.json"),
                    "--out-prefix", str(tmp_path / "x")])
@@ -269,6 +308,19 @@ def test_unfixed_orientation_is_refused(tmp_path, capsys):
                  ["operator-check"], ["convergence", "--sizes", "16,32"]):
         assert cli.main(argv + ["--config", cfg]) == cli.EXIT_ERROR
         assert "orientation is not fixed" in capsys.readouterr().err
+    assert not (tmp_path / "u.report.json").exists()
+
+
+def test_open_form_is_refused(tmp_path, capsys):
+    # b = i does not depend on x, so a dx + b dy is closed only for a
+    # constant a; this a gave "solvable: yes" with residual sup 0.108
+    cfg = write_cfg(tmp_path, {
+        "field": {"a": "1 + 0.1*sin(2*pi*y)", "b": "i"}, "grid_n": 16,
+        "equation": "f", "rhs": {"f": "exp(i*2*pi*(x+y))"}})
+    rc = cli.main(["solve", "--config", cfg,
+                   "--out-prefix", str(tmp_path / "u")])
+    assert rc == cli.EXIT_ERROR
+    assert "a dx + b dy is not closed" in capsys.readouterr().err
     assert not (tmp_path / "u.report.json").exists()
 
 

@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 
@@ -303,6 +304,78 @@ def test_constant_coefficient_field_builds_one_row(name, rows, monkeypatch):
     monkeypatch.setattr(kn, "_operator_rows", counting)
     t_omega(ctx, GridFunction.from_callable(16, lambda x, y: np.sin(x + y)))
     assert built[0] == rows
+
+
+def _per_square(ctx):
+    # the same context, but refinement evaluates Z and |a| + |b| at every
+    # square as a field that depends on x would
+    dense = copy.copy(ctx)
+    dense.strategy = "dense"
+    return dense
+
+
+def _flagged_pairs(ctx, monkeypatch):
+    # the (zt, cols) arguments of every refinement call in one operator
+    # build
+    calls, refined = [], kn._refined_cell_integrals
+
+    def recording(ctx, zt, cols):
+        calls.append((zt, cols))
+        return refined(ctx, zt, cols)
+
+    with monkeypatch.context() as m:
+        m.setattr(kn, "_refined_cell_integrals", recording)
+        t_omega(ctx, GridFunction.zeros(ctx.n))
+    return calls
+
+
+@pytest.mark.parametrize("name, tol", [
+    ("elliptic", 0.0), ("degenerate_sin2", 0.0), ("noz", 1e-13),
+    ("tilted", 1e-13)])
+def test_refinement_on_the_ordinate_table_matches_per_square(name, tol,
+                                                             monkeypatch):
+    # Z(x, y) = Z(0, y) + a x is exact for the builtins' z_exact, and holds
+    # to rounding for Z from quadrature
+    spec = CIRCULANT_SPECS.get(name) or build_field(name)
+    ctx = kernel_context(normalize(spec), 32)
+    calls = _flagged_pairs(ctx, monkeypatch)
+    assert sum(len(cols) for _, cols in calls) > 0
+    for zt, cols in calls:
+        got = kn._refined_cell_integrals(ctx, zt, cols)
+        want = kn._refined_cell_integrals(_per_square(ctx), zt, cols)
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def test_refinement_evaluates_expressions_per_ordinate(nf_deg_sin2,
+                                                       monkeypatch):
+    # the squares refined next to the circle share few ordinates, so a
+    # circulant build evaluates Z, a and b at far fewer points than it
+    # has squares
+    count = [0]
+    eval_expr, refined = ep.eval_expr, kn._refined_cell_integrals
+
+    def counting(ast, x, y):
+        count[0] += np.broadcast(np.asarray(x), np.asarray(y)).size
+        return eval_expr(ast, x, y)
+
+    def points_in_build(lookup):
+        ctx = kernel_context(nf_deg_sin2, 32)
+        with monkeypatch.context() as m:
+            m.setattr(ep, "eval_expr", counting)
+            m.setattr(kn, "_refined_cell_integrals",
+                      lambda ctx, zt, cols: refined(lookup(ctx), zt, cols))
+            count[0] = 0
+            t_omega(ctx, GridFunction.zeros(32))
+        return count[0]
+
+    assert points_in_build(_per_square) >= 5 * points_in_build(lambda c: c)
+
+
+def test_open_form_is_refused_on_the_circulant_path():
+    # b does not depend on x, so closedness asks d a / d y = 0
+    spec = FieldSpec("custom", "1 + 0.1*sin(2*pi*y)", "i", None, ())
+    with pytest.raises(HypotorusError, match="not closed"):
+        kernel_context(normalize(spec), 16)
 
 
 def test_circulant_rows_are_built_once(nf_deg_sin2, monkeypatch):
