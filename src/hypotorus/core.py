@@ -84,15 +84,28 @@ def lattice_reduce(z: complex, tau: complex):
 
 def reduced_lattice_distance(w, tau: complex) -> np.ndarray:
     """Distance from w to the lattice, for w already reduced to lattice
-    coordinates in [-1, 1) (by lattice_reduce, say): the distance to the
-    nearest of the nine points j + k*tau with |j|, |k| <= 1, with no second
-    reduction."""
-    d = np.abs(w)
-    for dj in (-1, 0, 1):
-        for dk in (-1, 0, 1):
-            if (dj, dk) != (0, 0):
-                d = np.minimum(d, np.abs(w - (dj + dk * tau)))
-    return d
+    coordinates in [-1, 1) (by lattice_reduce, say), with no second
+    reduction: lattice_distance at the real and imaginary parts of w."""
+    w = np.asarray(w)
+    return lattice_distance(w.real, w.imag, tau)
+
+
+def lattice_distance(x, y, tau: complex) -> np.ndarray:
+    """Distance from x + i*y to the nearest lattice point j + k*tau with
+    |k| <= 1, in real arithmetic: for each k the nearest j is the integer
+    nearest x - k*Re(tau).  For a point whose lattice coordinates lie in
+    [-1/2, 1/2) and |Re(tau)| <= 1/2 that j is within one of 0, so these
+    are the nine points j + k*tau with |j|, |k| <= 1."""
+    tau = complex(tau)
+    d2 = None
+    for k in (-1, 0, 1):
+        ex = x - k * tau.real
+        ex -= np.rint(ex)
+        ey = y - k * tau.imag
+        ex *= ex
+        ex += ey * ey
+        d2 = ex if d2 is None else np.minimum(d2, ex)
+    return np.sqrt(d2)
 
 
 @dataclass

@@ -13,7 +13,12 @@ point of the universal cover.  Its row for target p with singular point
 s* = p mod 1 has three parts:
 
 * Far field: the kernel at the center of every cell whose closure does not
-  contain s*.
+  contain s*.  On a circulant context (below) a = 1, so the n cells of one
+  source row lie at x-shifts of exactly h: their n values come from one
+  reduction and one length-n FFT of the theta series' Laurent terms
+  (theta_log_deriv_shifts), O(m_max + n log n) per (target, source row)
+  pair in place of n series sums.  Dense builds and point probes sum the
+  series at every cell.
 
 * Refined cells: a cell is refined adaptively whenever its image under the
   first integral is large relative to its distance from the kernel pole:
@@ -37,7 +42,8 @@ s* = p mod 1 has three parts:
 
 Each kernel argument arg = Z(p) - Z(s) is lattice-reduced once, as
 arg + z0 = w + j + k*tau: theta_log_deriv_raw at (w, k) is the kernel
-value, and the scan of w - z0 is the pole distance that decides refinement.
+value, and the pole distance that decides refinement is the distance of
+w - z0 from the lattice, from its real and imaginary parts (_reduce).
 
 One function finishes the row of any target from its Z value and its
 singular cells: a grid target is singular in its own cell at the center, a
@@ -63,7 +69,9 @@ The context picks how T is built and applied once, from the field
   kernel by -2 pi i.  If every grid row also has one quadtree depth (no
   declared circle deepens some), only row 0 is built, O(n^2) work:
   R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], the -h^2 being
-  the -2 pi i jump times the row scale h^2 / (2 pi i).
+  the -2 pi i jump times the row scale h^2 / (2 pi i).  Either build takes
+  its far field by x-shifts, and the n-row build transforms R along x in
+  place, so the build peaks at two n^3 arrays.
 
 * dense: otherwise all n^2 rows of W are built, O(n^4) work, cached, and
   every apply is one matrix product.  W would not fit in memory above
@@ -81,11 +89,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import exprparser as ep
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
-                   lattice_reduce, reduced_lattice_distance)
+                   lattice_distance, lattice_reduce)
 from .field import (FieldSpec, NormalizedField, ZEvaluator, char_set_info,
                     constant_coefficients, x_invariant)
-from .theta import ThetaContext, theta_log_deriv, theta_log_deriv_raw
+from .theta import (ThetaContext, theta_log_deriv, theta_log_deriv_raw,
+                    theta_log_deriv_shifts)
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
@@ -136,16 +146,7 @@ class KernelContext:
         self.strategy = strategy_for(self.nf, self.n)
         x, y = grid_centers(self.n)
         a, b = self.nf.a(x, y), self.nf.b(x, y)
-        if self.strategy == "circulant":
-            # b does not depend on x, so d a / d y = d b / d x asks for a
-            # constant a, which Z(x, y) = Z(0, y) + a x relies on
-            a0 = a.flat[0]
-            if np.max(np.abs(a - a0)) > 1e-12 * abs(a0):
-                spec = self.nf.spec
-                raise HypotorusError(
-                    f"the form a dx + b dy is not closed: b = "
-                    f"{spec.b_src!r} does not depend on x, but a = "
-                    f"{spec.a_src!r} varies with y")
+        _check_closed(self.nf, x, y, np.max(np.abs(a) + np.abs(b)))
         self.zeval = ZEvaluator(self.nf, self.n)
         self.coeff_size = (np.abs(a) + np.abs(b)).astype(float)
 
@@ -177,6 +178,29 @@ class KernelContext:
             near = d <= 2.0 / self.n
             bump[near] = np.maximum(bump[near], math.ceil(comp.sigma / 2.0))
         return self.refine_depth + bump
+
+
+def _check_closed(nf: NormalizedField, x, y, size: float) -> None:
+    """Refuse a form a dx + b dy that is not closed, d a / d y != d b / d x
+    at the samples (x, y): it has no first integral.  Skipped when a does
+    not depend on y and b not on x, where both sides vanish.  size is the
+    largest |a| + |b| at the samples, which sets the rounding floor."""
+    if not (ep.depends_on(nf.a_ast, "y") or ep.depends_on(nf.b_ast, "x")):
+        return
+    spec = nf.spec
+    try:
+        ay = ep.eval_expr(ep.symbolic_diff(nf.a_ast, "y"), x, y)
+        bx = ep.eval_expr(ep.symbolic_diff(nf.b_ast, "x"), x, y)
+    except ep.ExprDiffError as exc:
+        raise HypotorusError(
+            f"cannot check that the form a dx + b dy is closed for a = "
+            f"{spec.a_src!r}, b = {spec.b_src!r}: {exc}") from exc
+    gap = np.max(np.abs(ay - bx))
+    if gap > 1e-10 * np.max(np.abs(ay) + np.abs(bx)) + 1e-12 * size:
+        raise HypotorusError(
+            f"the form a dx + b dy is not closed: d a / d y - d b / d x "
+            f"reaches {gap:.3g} on the grid for a = {spec.a_src!r}, "
+            f"b = {spec.b_src!r}")
 
 
 def strategy_for(fld: FieldSpec | NormalizedField, n: int) -> str:
@@ -215,16 +239,31 @@ def kernel_m(ctx: KernelContext, p, s) -> complex:
 
 
 def _reduce(ctx: KernelContext, arg):
-    """(w, k) with arg + z0 = w + j + k*tau and w in the fundamental cell:
-    the one reduction of a kernel argument arg = Z(p) - Z(s)."""
+    """(w, k, d): the one reduction of a kernel argument arg = Z(p) - Z(s),
+    arg + z0 = w + j + k*tau with w in the fundamental cell, and d the
+    pole distance, the distance of arg from the lattice.  w - z0 is
+    congruent to arg, with lattice coordinates in [-1/2, 1/2), so d comes
+    from its real and imaginary parts."""
     w, _, k = lattice_reduce(arg + ctx.z0, ctx.tau)
-    return w, k
+    return w, k, lattice_distance(w.real - ctx.z0.real,
+                                  w.imag - ctx.z0.imag, ctx.tau)
 
 
-def _pole_distance(ctx: KernelContext, w) -> np.ndarray:
-    """Distance of arg from the lattice, for (w, k) = _reduce(ctx, arg):
-    w - z0 is congruent to arg, with lattice coordinates in [-1/2, 1/2)."""
-    return reduced_lattice_distance(w - ctx.z0, ctx.tau)
+def _far_field_by_shifts(ctx: KernelContext, zt: np.ndarray):
+    """Far-field kernel values and pole distances, (targets, cells), for a
+    circulant context.  There a = 1, so the cells of source row j' lie at
+    Z(h/2, y_j') + d h, d = 0..n-1: each (target, source row) pair is
+    reduced once, theta_log_deriv_shifts gives its n values, and the
+    distances are its lattice coordinates shifted by d h."""
+    n = ctx.n
+    w, k, _ = _reduce(ctx, zt[:, None] - ctx.z_centers[0][None, :])
+    # a target's own cell sits on the pole, where the sum can vanish
+    # exactly; _target_rows replaces that value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = theta_log_deriv_shifts(ctx.theta, w, k, n)
+    x = (w.real - ctx.z0.real)[:, None, :] - (np.arange(n) / n)[:, None]
+    dist = lattice_distance(x, (w.imag - ctx.z0.imag)[:, None, :], ctx.tau)
+    return rows.reshape(len(zt), n * n), dist.reshape(len(zt), n * n)
 
 
 # ------------------------------------------------ adaptive cell quadrature
@@ -262,8 +301,7 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
             my = ys[row]
             zs = ctx.zeval.at(mx, my)
             size = np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my))
-        w, k = _reduce(ctx, zt_sq - zs)
-        d = _pole_distance(ctx, w)
+        w, k, d = _reduce(ctx, zt_sq - zs)
         split = (side * size >= KAPPA * d) & (level < MAX_LEVEL)
         leaf = ~split
         if np.any(leaf):
@@ -317,7 +355,8 @@ def _singular_squares(rx: float, ry: float, depth: int):
     return out
 
 
-def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
+def _target_rows(ctx: KernelContext, zt: np.ndarray, sing,
+                 by_shifts: bool = False) -> np.ndarray:
     """Finished operator rows for targets with first-integral values zt.
 
     sing lists the singular pairs (row, cell, ox, oy, depth): the target of
@@ -326,11 +365,14 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
     or its refined cell average where flagged; each singular cell holds the
     kernel integrated over its quadtree of that depth, deepest block
     dropped.  The rows come scaled by h^2 / (2 pi i), ready to multiply a
-    grid density."""
+    grid density.  by_shifts takes the far field from _far_field_by_shifts
+    (circulant contexts only), else from one series sum per cell."""
     n, h = ctx.n, ctx.h
-    w, k = _reduce(ctx, zt[:, None] - ctx.z_centers.ravel()[None, :])
-    rows = theta_log_deriv_raw(ctx.theta, w, k)
-    dist = _pole_distance(ctx, w)
+    if by_shifts:
+        rows, dist = _far_field_by_shifts(ctx, zt)
+    else:
+        w, k, dist = _reduce(ctx, zt[:, None] - ctx.z_centers.ravel()[None, :])
+        rows = theta_log_deriv_raw(ctx.theta, w, k)
     groups = {}
     for r, c, ox, oy, depth in sing:
         dist[r, c] = np.inf
@@ -345,8 +387,8 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
         qx, qy, side = _singular_squares(ox, oy, depth)
         zs = ctx.zeval.at((c[:, None] // n + 0.5 + qx) * h,
                           (c[:, None] % n + 0.5 + qy) * h)
-        vals = theta_log_deriv_raw(ctx.theta,
-                                   *_reduce(ctx, zt[r, None] - zs))
+        w, k, _ = _reduce(ctx, zt[r, None] - zs)
+        vals = theta_log_deriv_raw(ctx.theta, w, k)
         # a per-pair sum, so no target depends on who shares its block
         rows[r, c] = np.sum(vals * (side * side), axis=-1)
     rows *= h * h / (2.0j * np.pi)
@@ -355,11 +397,12 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
 
 def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
     """Rows [r0, r1) of W: each grid target is singular in its own cell, at
-    the cell center."""
+    the cell center.  A circulant context takes the far field by shifts."""
     t = np.arange(r0, r1)
     depths = ctx.quadtree_depth((t % ctx.n + 0.5) / ctx.n)
     sing = [(r, c, 0.0, 0.0, d) for r, (c, d) in enumerate(zip(t, depths))]
-    return _target_rows(ctx, ctx.z_centers.ravel()[r0:r1], sing)
+    return _target_rows(ctx, ctx.z_centers.ravel()[r0:r1], sing,
+                        by_shifts=ctx.strategy == "circulant")
 
 
 def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
@@ -407,8 +450,8 @@ def _cached_operator(ctx: KernelContext) -> np.ndarray:
             ctx._operator[0] -= n * ctx.h ** 2 * (j[None, :] < j[:, None])
         else:
             rows = _built_rows(ctx, n).reshape(n, n, n)
-            ctx._operator = np.ascontiguousarray(np.moveaxis(
-                np.fft.ifft(rows, axis=1, norm="forward"), 1, 0))
+            np.fft.ifft(rows, axis=1, norm="forward", out=rows)
+            ctx._operator = np.ascontiguousarray(np.moveaxis(rows, 1, 0))
     return ctx._operator
 
 

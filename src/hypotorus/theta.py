@@ -72,16 +72,28 @@ class ThetaContext:
     lattice: Lattice
     tol: float = 1e-14
     m_max: int = field(init=False)
-    # per-term update factors e^{i*pi*(2m-1)*tau}, m = 1..m_max
-    _rho: np.ndarray = field(init=False, repr=False)
+    # Laurent coefficients c_m = e^{i*pi*m^2*tau}, m = 0..m_max
+    _laurent: np.ndarray = field(init=False, repr=False)
+    # Theta = Q(u + 1/u): the coefficients of Q, highest degree first
+    _horner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.tol <= 1e-6):
             raise HypotorusError(
                 f"theta tolerance must lie in (0, 1e-6], got {self.tol}")
         self.m_max = truncation_terms(self.lattice.tau, self.tol)
-        m = np.arange(1, self.m_max + 1)
-        self._rho = np.exp(1j * math.pi * (2 * m - 1) * self.lattice.tau)
+        m = np.arange(self.m_max + 1)
+        self._laurent = np.exp(1j * math.pi * m * m * self.lattice.tau)
+        # u^m + u^-m = L_m(t) for t = u + 1/u, with L_0 = 2, L_1 = t and
+        # L_{m+1} = t L_m - L_{m-1}; rows hold coefficients, lowest first
+        lucas = np.zeros((self.m_max + 1, self.m_max + 1))
+        lucas[0, 0], lucas[1, 1] = 2.0, 1.0
+        for j in range(1, self.m_max):
+            lucas[j + 1, 1:] = lucas[j, :-1]
+            lucas[j + 1] -= lucas[j - 1]
+        q = self._laurent[1:] @ lucas[1:]
+        q[0] += 1.0
+        self._horner = q[::-1].copy()
 
     @property
     def zero_point(self) -> complex:
@@ -95,24 +107,29 @@ def theta_context(tau: complex, tol: float = 1e-14) -> ThetaContext:
 def _series_pair(ctx: ThetaContext, w):
     """(Theta(w), Theta'(w)) for reduced arguments w, vectorized.
 
-    Terms are accumulated through the ratio recurrence t_m = t_{m-1} *
-    rho_m * u^{+-1} with u = e^{2*pi*i*w}; every partial product stays
-    bounded by e^{pi*Im(tau)} for w in the fundamental cell.
+    Theta(w) = 1 + sum_m c_m (u^m + u^-m) with u = e^{2*pi*i*w} is a
+    polynomial Q in t = u + 1/u, so one Horner pass in t gives Theta = Q(t)
+    and Theta' = 2*pi*i*(u - 1/u) * Q'(t).  The coefficient of t^m in Q is
+    c_m plus far smaller terms (c_m decays like e^{-pi*Im(tau)*m^2}), so
+    against mpmath its rounding matches the Laurent sum's.
     """
     w = np.asarray(w, dtype=complex)
     u = np.exp(2j * math.pi * w)
     uinv = 1.0 / u
-    s0 = np.ones_like(u)
-    s1 = np.zeros_like(u)
-    tp = np.ones_like(u)
-    tn = np.ones_like(u)
-    for m in range(1, ctx.m_max + 1):
-        r = ctx._rho[m - 1]
-        tp = tp * (r * u)
-        tn = tn * (r * uinv)
-        s0 = s0 + (tp + tn)
-        s1 = s1 + (2j * math.pi * m) * (tp - tn)
-    return s0, s1
+    t = u + uinv
+    coef = ctx._horner
+    dq = np.full_like(t, coef[0])
+    q = t * coef[0]
+    q += coef[1]
+    for c in coef[2:]:
+        dq *= t
+        dq += q
+        q *= t
+        q += c
+    u -= uinv
+    u *= 2j * math.pi
+    dq *= u
+    return q, dq
 
 
 def theta_eval(ctx: ThetaContext, z: complex) -> complex:
@@ -155,7 +172,32 @@ def theta_log_deriv(ctx: ThetaContext, z) -> complex:
 def theta_log_deriv_raw(ctx: ThetaContext, w, k) -> np.ndarray:
     """Theta'/Theta(w) - 2*pi*i*k, the value at w + j + k*tau, for w that
     lattice_reduce has already put in the fundamental cell.  w is summed as
-    given, with no second reduction and no pole-distance guard; every kernel
-    value of the operator comes from this function."""
+    given, with no second reduction and no pole-distance guard.  Every
+    kernel value of the operator comes from this function, except the far
+    field of a circulant build (theta_log_deriv_shifts)."""
     s0, s1 = _series_pair(ctx, w)
     return s1 / s0 - 2j * math.pi * k
+
+
+def theta_log_deriv_shifts(ctx: ThetaContext, w, k, n: int) -> np.ndarray:
+    """theta_log_deriv_raw at w - d/n for d = 0..n-1, along a new axis
+    before the last: out[..., d, :] is the value at w[..., :] - d/n.
+
+    The shifts are real, so k is shared, and the Laurent terms c_m u^m of
+    Theta(w - d/n) carry the factor e^{-2*pi*i*m*d/n}.  Folding the terms
+    mod n turns the n values into one length-n FFT each for Theta and
+    Theta', O(m_max + n log n) per w in place of n series sums."""
+    w = np.asarray(w, dtype=complex)
+    m = np.arange(-ctx.m_max, ctx.m_max + 1)
+    terms = (ctx._laurent[np.abs(m), None]
+             * np.exp((2j * math.pi) * w[..., None, :] * m[:, None]))
+    s0 = np.zeros(w.shape[:-1] + (n,) + w.shape[-1:], dtype=complex)
+    s1 = np.zeros_like(s0)
+    for i, mi in enumerate(m):
+        s0[..., mi % n, :] += terms[..., i, :]
+        s1[..., mi % n, :] += (2j * math.pi * mi) * terms[..., i, :]
+    np.fft.fft(s0, axis=-2, out=s0)
+    np.fft.fft(s1, axis=-2, out=s1)
+    s1 /= s0
+    s1 -= (2j * math.pi) * np.asarray(k)[..., None, :]
+    return s1

@@ -45,6 +45,11 @@ ELLIPTIC_CIRCLE = FieldSpec("elliptic", "1", "i", "x + i*y",
 CIRCULANT_SPECS = {"noz": X_INVARIANT_NO_Z, "tilted": TILTED_NO_Z,
                    "elliptic_circle": ELLIPTIC_CIRCLE}
 
+# d a / d y = 0.2 pi cos(2 pi y) but d b / d x = 0.2 pi cos(2 pi x): the form
+# is not closed, and it depends on x, so only the closedness rule sees it
+OPEN_FORM_X = FieldSpec("custom", "1 + 0.1*sin(2*pi*y)",
+                        "i + 0.1*sin(2*pi*x)", None, ())
+
 
 def test_ring_offsets_geometry():
     # a point at the cell center: every level after the first emits a
@@ -266,16 +271,19 @@ def test_strategy_follows_the_field(nf_elliptic, nf_deg_sin2, nf_perturbed,
             kernel_context(nf, 96)
 
 
-@pytest.mark.parametrize("n", [16, 32])
-@pytest.mark.parametrize("name", ["elliptic", "degenerate_sin2", "noz",
-                                  "tilted", "elliptic_circle"])
+@pytest.mark.parametrize("name, n", [
+    (name, n) for name in ("elliptic", "degenerate_sin2", "noz", "tilted",
+                           "elliptic_circle") for n in (16, 32)] + [
+    ("degenerate_sin2", 8), ("noz", 8), ("tilted", 8)])
 def test_circulant_matches_stacked_rows(name, n):
-    # the circulant build (one row or n rows) expanded to W, and the FFT
-    # apply, against all n^2 rows from the row engine
+    # the circulant build (one row or n rows, far field by shifts) expanded
+    # to W, and the FFT apply, against all n^2 rows from the row engine as
+    # a field that depends on x builds them, one series sum per far-field
+    # cell; at n=8 the 2 m_max + 1 Laurent terms fold mod n
     spec = CIRCULANT_SPECS.get(name) or build_field(name)
     ctx = kernel_context(normalize(spec), n)
     assert ctx.strategy == "circulant"
-    want = np.vstack([kn._operator_rows(ctx, r, r + 64)
+    want = np.vstack([kn._operator_rows(_as_dense(ctx), r, r + 64)
                       for r in range(0, n * n, 64)])
     scale = np.max(np.abs(want))
     assert np.max(np.abs(operator_matrix(ctx) - want)) <= 1e-13 * scale
@@ -306,9 +314,10 @@ def test_constant_coefficient_field_builds_one_row(name, rows, monkeypatch):
     assert built[0] == rows
 
 
-def _per_square(ctx):
-    # the same context, but refinement evaluates Z and |a| + |b| at every
-    # square as a field that depends on x would
+def _as_dense(ctx):
+    # the same context, built as a field that depends on x would be: one
+    # series sum per far-field cell, and refinement evaluating Z and
+    # |a| + |b| at every square
     dense = copy.copy(ctx)
     dense.strategy = "dense"
     return dense
@@ -342,7 +351,7 @@ def test_refinement_on_the_ordinate_table_matches_per_square(name, tol,
     assert sum(len(cols) for _, cols in calls) > 0
     for zt, cols in calls:
         got = kn._refined_cell_integrals(ctx, zt, cols)
-        want = kn._refined_cell_integrals(_per_square(ctx), zt, cols)
+        want = kn._refined_cell_integrals(_as_dense(ctx), zt, cols)
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
@@ -368,7 +377,42 @@ def test_refinement_evaluates_expressions_per_ordinate(nf_deg_sin2,
             t_omega(ctx, GridFunction.zeros(32))
         return count[0]
 
-    assert points_in_build(_per_square) >= 5 * points_in_build(lambda c: c)
+    assert points_in_build(_as_dense) >= 5 * points_in_build(lambda c: c)
+
+
+def test_refinement_leaves_are_pinned(nf_deg_sin2, monkeypatch):
+    # kernel values at refinement leaves of a degenerate_sin2 n=32 build:
+    # a pole distance that flipped a split decision would move the count
+    count, inside = [0], [False]
+    raw, refined = kn.theta_log_deriv_raw, kn._refined_cell_integrals
+
+    def counting(theta, w, k):
+        count[0] += np.size(w) if inside[0] else 0
+        return raw(theta, w, k)
+
+    def marking(ctx, zt, cols):
+        inside[0] = True
+        try:
+            return refined(ctx, zt, cols)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(kn, "theta_log_deriv_raw", counting)
+    monkeypatch.setattr(kn, "_refined_cell_integrals", marking)
+    monkeypatch.setenv("HYPOTORUS_THREADS", "1")
+    t_omega(kernel_context(nf_deg_sin2, 32), GridFunction.zeros(32))
+    assert count[0] == 166916
+
+
+def test_open_form_is_refused_where_the_field_depends_on_x():
+    with pytest.raises(HypotorusError, match="not closed"):
+        kernel_context(normalize(OPEN_FORM_X), 16)
+    # closed forms pass: the builtins, the x-invariant noz field and
+    # NO_Z_EXACT, the field of the benchmark's cold-custom-noz-a workload
+    for spec in [build_field(name) for name in (
+            "elliptic", "degenerate_sin2", "analytic_perturbed",
+            "degenerate_2d")] + [X_INVARIANT_NO_Z, NO_Z_EXACT]:
+        assert kernel_context(normalize(spec), 16).strategy
 
 
 def test_open_form_is_refused_on_the_circulant_path():
