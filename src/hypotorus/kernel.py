@@ -17,8 +17,8 @@ s* = p mod 1 has three parts:
   source row lie at x-shifts of exactly h: their n values come from one
   reduction and one length-n FFT of the theta series' Laurent terms
   (theta_log_deriv_shifts), O(m_max + n log n) per (target, source row)
-  pair in place of n series sums.  Dense builds and point probes sum the
-  series at every cell.
+  pair in place of n series sums, for grid rows and point probes alike.
+  A dense context sums the series at every cell.
 
 * Refined cells: a cell is refined adaptively whenever its image under the
   first integral is large relative to its distance from the kernel pole:
@@ -43,7 +43,8 @@ s* = p mod 1 has three parts:
 Each kernel argument arg = Z(p) - Z(s) is lattice-reduced once, as
 arg + z0 = w + j + k*tau: theta_log_deriv_raw at (w, k) is the kernel
 value, and the pole distance that decides refinement is the distance of
-w - z0 from the lattice, from its real and imaginary parts (_reduce).
+w - z0 from the lattice, from its real and imaginary parts
+(_pole_distance).
 
 One function finishes the row of any target from its Z value and its
 singular cells: a grid target is singular in its own cell at the center, a
@@ -183,18 +184,18 @@ class KernelContext:
 def _check_closed(nf: NormalizedField, x, y, size: float) -> None:
     """Refuse a form a dx + b dy that is not closed, d a / d y != d b / d x
     at the samples (x, y): it has no first integral.  Skipped when a does
-    not depend on y and b not on x, where both sides vanish.  size is the
-    largest |a| + |b| at the samples, which sets the rounding floor."""
+    not depend on y and b not on x, where both sides vanish, and when a
+    derivative cannot be taken symbolically (abs or conj of the variable).
+    size is the largest |a| + |b| at the samples, which sets the rounding
+    floor."""
     if not (ep.depends_on(nf.a_ast, "y") or ep.depends_on(nf.b_ast, "x")):
         return
-    spec = nf.spec
     try:
         ay = ep.eval_expr(ep.symbolic_diff(nf.a_ast, "y"), x, y)
         bx = ep.eval_expr(ep.symbolic_diff(nf.b_ast, "x"), x, y)
-    except ep.ExprDiffError as exc:
-        raise HypotorusError(
-            f"cannot check that the form a dx + b dy is closed for a = "
-            f"{spec.a_src!r}, b = {spec.b_src!r}: {exc}") from exc
+    except ep.ExprDiffError:
+        return
+    spec = nf.spec
     gap = np.max(np.abs(ay - bx))
     if gap > 1e-10 * np.max(np.abs(ay) + np.abs(bx)) + 1e-12 * size:
         raise HypotorusError(
@@ -239,14 +240,18 @@ def kernel_m(ctx: KernelContext, p, s) -> complex:
 
 
 def _reduce(ctx: KernelContext, arg):
-    """(w, k, d): the one reduction of a kernel argument arg = Z(p) - Z(s),
-    arg + z0 = w + j + k*tau with w in the fundamental cell, and d the
-    pole distance, the distance of arg from the lattice.  w - z0 is
-    congruent to arg, with lattice coordinates in [-1/2, 1/2), so d comes
-    from its real and imaginary parts."""
+    """(w, k) with arg + z0 = w + j + k*tau and w in the fundamental cell:
+    the one reduction of a kernel argument arg = Z(p) - Z(s)."""
     w, _, k = lattice_reduce(arg + ctx.z0, ctx.tau)
-    return w, k, lattice_distance(w.real - ctx.z0.real,
-                                  w.imag - ctx.z0.imag, ctx.tau)
+    return w, k
+
+
+def _pole_distance(ctx: KernelContext, w) -> np.ndarray:
+    """Distance of arg from the lattice, for (w, k) = _reduce(ctx, arg):
+    w - z0 is congruent to arg, with lattice coordinates in [-1/2, 1/2),
+    so the distance comes from its real and imaginary parts."""
+    return lattice_distance(w.real - ctx.z0.real, w.imag - ctx.z0.imag,
+                            ctx.tau)
 
 
 def _far_field_by_shifts(ctx: KernelContext, zt: np.ndarray):
@@ -256,7 +261,7 @@ def _far_field_by_shifts(ctx: KernelContext, zt: np.ndarray):
     reduced once, theta_log_deriv_shifts gives its n values, and the
     distances are its lattice coordinates shifted by d h."""
     n = ctx.n
-    w, k, _ = _reduce(ctx, zt[:, None] - ctx.z_centers[0][None, :])
+    w, k = _reduce(ctx, zt[:, None] - ctx.z_centers[0][None, :])
     # a target's own cell sits on the pole, where the sum can vanish
     # exactly; _target_rows replaces that value
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -301,7 +306,8 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
             my = ys[row]
             zs = ctx.zeval.at(mx, my)
             size = np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my))
-        w, k, d = _reduce(ctx, zt_sq - zs)
+        w, k = _reduce(ctx, zt_sq - zs)
+        d = _pole_distance(ctx, w)
         split = (side * size >= KAPPA * d) & (level < MAX_LEVEL)
         leaf = ~split
         if np.any(leaf):
@@ -355,8 +361,7 @@ def _singular_squares(rx: float, ry: float, depth: int):
     return out
 
 
-def _target_rows(ctx: KernelContext, zt: np.ndarray, sing,
-                 by_shifts: bool = False) -> np.ndarray:
+def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
     """Finished operator rows for targets with first-integral values zt.
 
     sing lists the singular pairs (row, cell, ox, oy, depth): the target of
@@ -365,14 +370,15 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing,
     or its refined cell average where flagged; each singular cell holds the
     kernel integrated over its quadtree of that depth, deepest block
     dropped.  The rows come scaled by h^2 / (2 pi i), ready to multiply a
-    grid density.  by_shifts takes the far field from _far_field_by_shifts
-    (circulant contexts only), else from one series sum per cell."""
+    grid density.  A circulant context takes the far field by shifts
+    (_far_field_by_shifts), a dense one by a series sum per cell."""
     n, h = ctx.n, ctx.h
-    if by_shifts:
+    if ctx.strategy == "circulant":
         rows, dist = _far_field_by_shifts(ctx, zt)
     else:
-        w, k, dist = _reduce(ctx, zt[:, None] - ctx.z_centers.ravel()[None, :])
+        w, k = _reduce(ctx, zt[:, None] - ctx.z_centers.ravel()[None, :])
         rows = theta_log_deriv_raw(ctx.theta, w, k)
+        dist = _pole_distance(ctx, w)
     groups = {}
     for r, c, ox, oy, depth in sing:
         dist[r, c] = np.inf
@@ -387,8 +393,8 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing,
         qx, qy, side = _singular_squares(ox, oy, depth)
         zs = ctx.zeval.at((c[:, None] // n + 0.5 + qx) * h,
                           (c[:, None] % n + 0.5 + qy) * h)
-        w, k, _ = _reduce(ctx, zt[r, None] - zs)
-        vals = theta_log_deriv_raw(ctx.theta, w, k)
+        vals = theta_log_deriv_raw(ctx.theta,
+                                   *_reduce(ctx, zt[r, None] - zs))
         # a per-pair sum, so no target depends on who shares its block
         rows[r, c] = np.sum(vals * (side * side), axis=-1)
     rows *= h * h / (2.0j * np.pi)
@@ -397,12 +403,11 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing,
 
 def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
     """Rows [r0, r1) of W: each grid target is singular in its own cell, at
-    the cell center.  A circulant context takes the far field by shifts."""
+    the cell center."""
     t = np.arange(r0, r1)
     depths = ctx.quadtree_depth((t % ctx.n + 0.5) / ctx.n)
     sing = [(r, c, 0.0, 0.0, d) for r, (c, d) in enumerate(zip(t, depths))]
-    return _target_rows(ctx, ctx.z_centers.ravel()[r0:r1], sing,
-                        by_shifts=ctx.strategy == "circulant")
+    return _target_rows(ctx, ctx.z_centers.ravel()[r0:r1], sing)
 
 
 def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
@@ -450,7 +455,10 @@ def _cached_operator(ctx: KernelContext) -> np.ndarray:
             ctx._operator[0] -= n * ctx.h ** 2 * (j[None, :] < j[:, None])
         else:
             rows = _built_rows(ctx, n).reshape(n, n, n)
-            np.fft.ifft(rows, axis=1, norm="forward", out=rows)
+            # one target row at a time, in place, so the build holds two
+            # n^3 arrays
+            for j in range(n):
+                rows[j] = np.fft.ifft(rows[j], axis=0, norm="forward")
             ctx._operator = np.ascontiguousarray(np.moveaxis(rows, 1, 0))
     return ctx._operator
 

@@ -174,7 +174,7 @@ def theta_log_deriv_raw(ctx: ThetaContext, w, k) -> np.ndarray:
     lattice_reduce has already put in the fundamental cell.  w is summed as
     given, with no second reduction and no pole-distance guard.  Every
     kernel value of the operator comes from this function, except the far
-    field of a circulant build (theta_log_deriv_shifts)."""
+    field on a circulant context (theta_log_deriv_shifts)."""
     s0, s1 = _series_pair(ctx, w)
     return s1 / s0 - 2j * math.pi * k
 
@@ -196,8 +196,8 @@ def theta_log_deriv_shifts(ctx: ThetaContext, w, k, n: int) -> np.ndarray:
     for i, mi in enumerate(m):
         s0[..., mi % n, :] += terms[..., i, :]
         s1[..., mi % n, :] += (2j * math.pi * mi) * terms[..., i, :]
-    np.fft.fft(s0, axis=-2, out=s0)
-    np.fft.fft(s1, axis=-2, out=s1)
+    s0 = np.fft.fft(s0, axis=-2)
+    s1 = np.fft.fft(s1, axis=-2)
     s1 /= s0
     s1 -= (2j * math.pi) * np.asarray(k)[..., None, :]
     return s1

@@ -294,6 +294,21 @@ def test_circulant_matches_stacked_rows(name, n):
     assert np.max(np.abs(got - wg)) <= 1e-13 * np.max(np.abs(wg))
 
 
+@pytest.mark.parametrize("name", ["degenerate_sin2", "tilted"])
+def test_circulant_point_probe_matches_series(name):
+    # a point probe on a circulant context takes its far field by shifts
+    # as well: against one series sum per far-field cell, at an interior
+    # point, a cell corner and a point off the unit square
+    spec = CIRCULANT_SPECS.get(name) or build_field(name)
+    ctx = kernel_context(normalize(spec), 16)
+    g = GridFunction.from_callable(
+        16, lambda x, y: np.exp(2j * np.pi * (x + 2 * y)) + np.sin(np.pi * y))
+    for p in [(0.3, 0.71), (0.25, 0.5), (1.4, -0.35)]:
+        got = t_omega_point(ctx, g, p)
+        want = t_omega_point(_as_dense(ctx), g, p)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 @pytest.mark.parametrize("name, rows", [
     ("elliptic", 1), ("tilted", 1), ("elliptic_circle", 16),
     ("degenerate_sin2", 16)])
@@ -413,6 +428,16 @@ def test_open_form_is_refused_where_the_field_depends_on_x():
             "elliptic", "degenerate_sin2", "analytic_perturbed",
             "degenerate_2d")] + [X_INVARIANT_NO_Z, NO_Z_EXACT]:
         assert kernel_context(normalize(spec), 16).strategy
+
+
+def test_closed_form_without_symbolic_derivative_is_accepted():
+    # d a / d y = d b / d x, but abs has no symbolic derivative, so the
+    # closedness check cannot run and the field is built as before
+    g = "0.2*abs(sin(pi*(x+y)))"
+    spec = FieldSpec("custom", f"1 + {g}", f"i + {g}", None, ())
+    ctx = kernel_context(normalize(spec), 8)
+    assert ctx.strategy == "dense"
+    assert np.all(np.isfinite(operator_matrix(ctx)))
 
 
 def test_open_form_is_refused_on_the_circulant_path():
