@@ -53,8 +53,6 @@ class CaseConfig:
     equation: str
     rhs: dict
     solver: dict = dfield(default_factory=lambda: dict(_SOLVER_DEFAULTS))
-    refine_depth: int = 6
-    theta_tol: float = 1e-14
 
 
 def _require_object(obj, path):
@@ -204,8 +202,7 @@ def load_config(path: str) -> CaseConfig:
     except json.JSONDecodeError as exc:
         raise HypotorusError(f"config {path} is not valid JSON: {exc}") from exc
     _require_object(raw, "")
-    _reject_unknown(raw, "", {"field", "grid_n", "equation", "rhs",
-                              "solver", "kernel", "theta"})
+    _reject_unknown(raw, "", {"field", "grid_n", "equation", "rhs", "solver"})
     if "field" not in raw:
         raise ConfigError("/field", "required")
     spec = _field_from_config(raw["field"], "/field")
@@ -219,33 +216,23 @@ def load_config(path: str) -> CaseConfig:
     if "rhs" not in raw:
         raise ConfigError("/rhs", "required")
     rhs = _rhs_from_config(raw["rhs"], "/rhs", equation)
-    solver = dict(_SOLVER_DEFAULTS)
     sobj = raw.get("solver", {})
     _require_object(sobj, "/solver")
     _reject_unknown(sobj, "/solver", set(_SOLVER_DEFAULTS))
-    solver["k_max"] = _get_int(sobj, "/solver", "k_max", 3, 0, 16)
-    solver["damping"] = _get_real(sobj, "/solver", "damping", 0.5, 0.0, 1.0)
-    solver["max_iter"] = _get_int(sobj, "/solver", "max_iter", 200, 1, 100000)
-    solver["picard_tol"] = _get_real(sobj, "/solver", "picard_tol",
-                                     1e-8, 0.0, 1.0)
-    solver["lattice_tol"] = _get_real(sobj, "/solver", "lattice_tol",
-                                      1e-6, 0.0, 1.0)
+    solver = dict(_SOLVER_DEFAULTS)
+    for key, get, lo, hi in (("k_max", _get_int, 0, 16),
+                             ("damping", _get_real, 0.0, 1.0),
+                             ("max_iter", _get_int, 1, 100000),
+                             ("picard_tol", _get_real, 0.0, 1.0),
+                             ("lattice_tol", _get_real, 0.0, 1.0)):
+        solver[key] = get(sobj, "/solver", key, solver[key], lo, hi)
     if solver["lattice_tol"] >= 0.5:
         raise ConfigError("/solver/lattice_tol",
                           f"{solver['lattice_tol']} is not below 0.5: at "
                           "half a lattice step every nu rounds onto the "
                           "lattice")
-    kobj = raw.get("kernel", {})
-    _require_object(kobj, "/kernel")
-    _reject_unknown(kobj, "/kernel", {"refine_depth"})
-    refine_depth = _get_int(kobj, "/kernel", "refine_depth", 6, 2, 12)
-    tobj = raw.get("theta", {})
-    _require_object(tobj, "/theta")
-    _reject_unknown(tobj, "/theta", {"tol"})
-    theta_tol = _get_real(tobj, "/theta", "tol", 1e-14, 0.0, 1e-6)
     return CaseConfig(spec=spec, grid_n=grid_n, equation=equation, rhs=rhs,
-                      solver=solver, refine_depth=refine_depth,
-                      theta_tol=theta_tol)
+                      solver=solver)
 
 
 def _load_operator_config(path: str) -> CaseConfig:
@@ -281,8 +268,7 @@ def _assemble_case(cfg: CaseConfig, n: int):
     """Build the kernel context and the right-hand-side grids for one
     solve at grid size n."""
     nf = normalize(cfg.spec)
-    ctx = kernel_context(nf, n, refine_depth=cfg.refine_depth,
-                         theta_tol=cfg.theta_tol)
+    ctx = kernel_context(nf, n)
     rhs = {}
     if cfg.equation == "f":
         if "manufactured_w" in cfg.rhs:
@@ -397,7 +383,7 @@ def _cmd_theta_check(args) -> int:
     if args.samples < 1:
         raise HypotorusError(
             f"--samples must be a positive integer, got {args.samples}")
-    tctx = theta_context(tau, 1e-14)
+    tctx = theta_context(tau)
     rng = np.random.default_rng(7031)
     zs = (rng.uniform(-1.5, 1.5, args.samples)
           + 1j * rng.uniform(-1.5, 1.5, args.samples))

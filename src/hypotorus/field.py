@@ -36,6 +36,14 @@ class SigmaComponent:
             # a tiny negative y0 rounds to 1.0 under % 1.0
             object.__setattr__(self, "y0", float(self.y0) % 1.0 % 1.0)
 
+    def distance(self, y) -> np.ndarray:
+        """Torus distance from the ordinates y to this circle: inf for a
+        component declared by label alone."""
+        if self.y0 is None:
+            return np.full(np.shape(y), np.inf)
+        return np.abs((np.asarray(y, dtype=float) - self.y0 + 0.5) % 1.0
+                      - 0.5)
+
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -397,16 +405,11 @@ def char_set_info(nf: NormalizedField, probe_n: int = 128) -> CharReport:
     sign_fixed = not (pos > 1e-12 and neg < -1e-12)
     orientation = 1 if pos > -neg else -1
 
-    ords = nf.sigma_ordinates()
-    if ords:
-        dist = np.full_like(im, np.inf)
-        for y0 in ords:
-            d = np.abs((y - y0 + 0.5) % 1.0 - 0.5)
-            dist = np.minimum(dist, d)
-        off = np.abs(im)[dist > 0.1]
-        min_off = float(off.min()) if off.size else float("nan")
-    else:
-        min_off = float(np.abs(im).min())
+    dist = np.full_like(im, np.inf)
+    for c in nf.components:
+        dist = np.minimum(dist, c.distance(y))
+    off = np.abs(im)[dist > 0.1]
+    min_off = float(off.min()) if off.size else float("nan")
 
     comps = []
     xs = (np.arange(8) + 0.5) / 8

@@ -32,13 +32,14 @@ s* = p mod 1 has three parts:
   per distinct ordinate of a level's squares, not once per square.
 
 * Singular quadtree: each singular cell freezes the density at its own
-  sample and integrates the kernel alone over a dyadic quadtree that
-  shrinks toward s*; the deepest block still containing s* is dropped - its
-  simple-pole part cancels by central symmetry, leaving an
-  O((h 2^-depth)^(1+alpha)) error.  With the density frozen at the cell
-  sample, the Holder-difference term of the classical value-subtraction
-  split vanishes identically.  Targets within 2/n of a declared degenerate
-  circle get extra levels, matching the locally worse pole there.
+  sample and integrates the kernel alone over a dyadic quadtree of
+  REFINE_DEPTH levels that shrinks toward s*; the deepest block still
+  containing s* is dropped - its simple-pole part cancels by central
+  symmetry, leaving an O((h 2^-depth)^(1+alpha)) error.  With the density
+  frozen at the cell sample, the Holder-difference term of the classical
+  value-subtraction split vanishes identically.  Targets within 2/n of a
+  declared degenerate circle get extra levels, matching the locally worse
+  pole there.
 
 Each kernel argument arg = Z(p) - Z(s) is lattice-reduced once, as
 arg + z0 = w + j + k*tau: theta_log_deriv_raw at (w, k) is the kernel
@@ -67,12 +68,12 @@ The context picks how T is built and applied once, from the field
   the spectrum on each call and caches nothing.  When neither coefficient
   depends on y either, Z is linear and the kernel depends on p - s alone,
   except that a source wrapping across y = 1 shifts Z by tau and the
-  kernel by -2 pi i.  If every grid row also has one quadtree depth (no
-  declared circle deepens some), only row 0 is built, O(n^2) work:
-  R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], the -h^2 being
-  the -2 pi i jump times the row scale h^2 / (2 pi i).  Either build takes
-  its far field by x-shifts, and the n-row build transforms R along x in
-  place, so the build peaks at two n^3 arrays.
+  kernel by -2 pi i.  If no circle is declared at an ordinate either,
+  every grid row has one quadtree depth and only row 0 is built, O(n^2)
+  work: R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], the -h^2
+  being the -2 pi i jump times the row scale h^2 / (2 pi i).  Either
+  build takes its far field by x-shifts, and the n-row build transforms R
+  along x in place, so the build peaks at two n^3 arrays.
 
 * dense: otherwise all n^2 rows of W are built, O(n^4) work, cached, and
   every apply is one matrix product.  W would not fit in memory above
@@ -100,6 +101,7 @@ from .theta import (ThetaContext, theta_log_deriv, theta_log_deriv_raw,
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
+REFINE_DEPTH = 6    # singular-cell quadtree depth away from declared circles
 _MATRIX_MAX_N = 80  # above this the n^4 weight matrix would not fit in RAM
 _ROW_BLOCK = 64     # target rows per block; bounds memory, never a value
 
@@ -123,9 +125,9 @@ def thread_count() -> int:
 @dataclass
 class KernelContext:
     nf: NormalizedField
-    theta: ThetaContext
     n: int
-    refine_depth: int = 6
+    # the theta series of nf's lattice
+    theta: ThetaContext = field(repr=False, init=False)
     zeval: ZEvaluator = field(repr=False, init=False)
     # |a| + |b| at cell centers: the local Z-stretch of a cell
     coeff_size: np.ndarray = field(repr=False, init=False)
@@ -138,9 +140,6 @@ class KernelContext:
     def __post_init__(self):
         if self.n < 8:
             raise HypotorusError(f"grid too coarse for quadrature: n={self.n}")
-        if not 2 <= self.refine_depth <= 12:
-            raise HypotorusError(
-                f"refine_depth must lie in [2, 12], got {self.refine_depth}")
         if not char_set_info(self.nf).sign_fixed:
             raise HypotorusError("orientation is not fixed: Im(a*conj(b)) "
                                  "takes both signs on the torus")
@@ -148,6 +147,7 @@ class KernelContext:
         x, y = grid_centers(self.n)
         a, b = self.nf.a(x, y), self.nf.b(x, y)
         _check_closed(self.nf, x, y, np.max(np.abs(a) + np.abs(b)))
+        self.theta = ThetaContext(self.nf.lattice)
         self.zeval = ZEvaluator(self.nf, self.n)
         self.coeff_size = (np.abs(a) + np.abs(b)).astype(float)
 
@@ -169,16 +169,13 @@ class KernelContext:
 
     def quadtree_depth(self, y) -> np.ndarray:
         """Singular-cell quadtree depth for targets at ordinates y:
-        refine_depth, plus extra levels within 2/n of a degenerate circle."""
+        REFINE_DEPTH, plus extra levels within 2/n of a degenerate circle."""
         y = np.asarray(y, dtype=float)
         bump = np.zeros(y.shape, dtype=int)
         for comp in self.nf.components:
-            if comp.y0 is None:
-                continue
-            d = np.abs((y - comp.y0 + 0.5) % 1.0 - 0.5)
-            near = d <= 2.0 / self.n
+            near = comp.distance(y) <= 2.0 / self.n
             bump[near] = np.maximum(bump[near], math.ceil(comp.sigma / 2.0))
-        return self.refine_depth + bump
+        return REFINE_DEPTH + bump
 
 
 def _check_closed(nf: NormalizedField, x, y, size: float) -> None:
@@ -218,10 +215,8 @@ def strategy_for(fld: FieldSpec | NormalizedField, n: int) -> str:
     return "dense"
 
 
-def kernel_context(nf: NormalizedField, n: int, refine_depth: int = 6,
-                   theta_tol: float = 1e-14) -> KernelContext:
-    return KernelContext(nf, ThetaContext(nf.lattice, theta_tol), n,
-                         refine_depth)
+def kernel_context(nf: NormalizedField, n: int) -> KernelContext:
+    return KernelContext(nf, n)
 
 
 # ---------------------------------------------------------------- kernel
@@ -437,14 +432,13 @@ def _cached_operator(ctx: KernelContext) -> np.ndarray:
     targets in the column x = h/2; spectrum[k] is the n x n matrix
     sum_d R[:, d, :] exp(2 pi i k d / n) that multiplies the k-th
     x-frequency of a density.  When R also follows from its first row
-    (constant coefficients, one quadtree depth on every grid row), only
-    that row is built."""
+    (constant coefficients, no circle declared at an ordinate), only that
+    row is built."""
     if ctx._operator is None:
         n = ctx.n
         if ctx.strategy == "dense":
             ctx._operator = _built_rows(ctx, n * n)
-        elif (constant_coefficients(ctx.nf) and np.ptp(
-                ctx.quadtree_depth((np.arange(n) + 0.5) / n)) == 0):
+        elif constant_coefficients(ctx.nf) and not ctx.nf.sigma_ordinates():
             # R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], as in
             # the module docstring; the -h^2 is constant along d, so only
             # the k = 0 spectrum sees it, n times

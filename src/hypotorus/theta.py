@@ -22,6 +22,9 @@ from .core import (HypotorusError, Lattice, lattice_reduce,
                    reduced_lattice_distance)
 
 
+THETA_TOL = 1e-14  # series truncation tolerance of every ThetaContext
+
+
 class PoleProximityError(HypotorusError):
     """Logarithmic derivative requested within 1e-13 of a theta zero."""
 
@@ -67,10 +70,9 @@ def closed_form_terms(tau: complex, tol: float) -> int:
 
 @dataclass
 class ThetaContext:
-    """Precomputed series data for one lattice and accuracy target."""
+    """Precomputed series data for one lattice, truncated at THETA_TOL."""
 
     lattice: Lattice
-    tol: float = 1e-14
     m_max: int = field(init=False)
     # Laurent coefficients c_m = e^{i*pi*m^2*tau}, m = 0..m_max
     _laurent: np.ndarray = field(init=False, repr=False)
@@ -78,10 +80,7 @@ class ThetaContext:
     _horner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (0.0 < self.tol <= 1e-6):
-            raise HypotorusError(
-                f"theta tolerance must lie in (0, 1e-6], got {self.tol}")
-        self.m_max = truncation_terms(self.lattice.tau, self.tol)
+        self.m_max = truncation_terms(self.lattice.tau, THETA_TOL)
         m = np.arange(self.m_max + 1)
         self._laurent = np.exp(1j * math.pi * m * m * self.lattice.tau)
         # u^m + u^-m = L_m(t) for t = u + 1/u, with L_0 = 2, L_1 = t and
@@ -100,8 +99,8 @@ class ThetaContext:
         return self.lattice.zero_point
 
 
-def theta_context(tau: complex, tol: float = 1e-14) -> ThetaContext:
-    return ThetaContext(Lattice(complex(tau)), tol)
+def theta_context(tau: complex) -> ThetaContext:
+    return ThetaContext(Lattice(complex(tau)))
 
 
 def _series_pair(ctx: ThetaContext, w):

@@ -51,9 +51,8 @@ def included_columns(nf: NormalizedField, n: int, band: float) -> np.ndarray:
     declared degenerate ordinate."""
     ys = (np.arange(n) + 0.5) / n
     keep = np.ones(n, dtype=bool)
-    for y0 in nf.sigma_ordinates():
-        d = np.abs((ys - y0 + 0.5) % 1.0 - 0.5)
-        keep &= d > band
+    for comp in nf.components:
+        keep &= comp.distance(ys) > band
     return keep
 
 

@@ -46,7 +46,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.grid_n == 64
     assert cfg.solver == {"k_max": 3, "damping": 0.5, "max_iter": 200,
                           "picard_tol": 1e-8, "lattice_tol": 1e-6}
-    assert cfg.refine_depth == 6 and cfg.theta_tol == 1e-14
 
 
 @pytest.mark.parametrize("patch,pointer", [
@@ -64,10 +63,11 @@ def test_load_config_defaults(tmp_path):
     ({"solver": {"bogus": 1}}, "/solver/bogus"),
     ({"solver": {"damping": 0.0}}, "/solver/damping"),
     ({"solver": {"k_max": 17}}, "/solver/k_max"),
-    ({"kernel": {"refine_depth": 1}}, "/kernel/refine_depth"),
-    ({"theta": {"tol": 0.5}}, "/theta/tol"),
+    # the operator has no settings: a kernel or theta section is refused
+    ({"kernel": {"refine_depth": 1}}, "/kernel"),
+    ({"theta": {"tol": 0.5}}, "/theta"),
     ({"bogus": 1}, "/bogus"),
-    ({"theta": {"tol": 1e-3}}, "/theta/tol"),
+    ({"theta": {"tol": 1e-14}}, "/theta"),
     ({"grid_n": 257}, "/grid_n"),
     ({"solver": {"lattice_tol": 0.5}}, "/solver/lattice_tol"),
     *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",

@@ -42,8 +42,14 @@ TILTED_NO_Z = FieldSpec("custom", "1", "0.3+0.8*i", None, ())
 ELLIPTIC_CIRCLE = FieldSpec("elliptic", "1", "i", "x + i*y",
                             (SigmaComponent(2.0, 0.3, "y=0.3"),))
 
+# elliptic with a component declared by label alone: no ordinate deepens
+# any row, so it keeps the one-row build
+ELLIPTIC_LABEL = FieldSpec("elliptic", "1", "i", "x + i*y",
+                           (SigmaComponent(2.0, None, "a label"),))
+
 CIRCULANT_SPECS = {"noz": X_INVARIANT_NO_Z, "tilted": TILTED_NO_Z,
-                   "elliptic_circle": ELLIPTIC_CIRCLE}
+                   "elliptic_circle": ELLIPTIC_CIRCLE,
+                   "elliptic_label": ELLIPTIC_LABEL}
 
 # d a / d y = 0.2 pi cos(2 pi y) but d b / d x = 0.2 pi cos(2 pi x): the form
 # is not closed, and it depends on x, so only the closedness rule sees it
@@ -88,10 +94,6 @@ def test_thread_count_env(monkeypatch):
 def test_context_validation(nf_elliptic):
     with pytest.raises(HypotorusError):
         kernel_context(nf_elliptic, 7)
-    with pytest.raises(HypotorusError):
-        kernel_context(nf_elliptic, 16, refine_depth=1)
-    with pytest.raises(HypotorusError):
-        kernel_context(nf_elliptic, 16, refine_depth=13)
     ctx = kernel_context(nf_elliptic, 16)
     assert ctx.h == 1 / 16
     assert abs(ctx.z0 - (1 + 1j) / 2) < 1e-15
@@ -310,11 +312,11 @@ def test_circulant_point_probe_matches_series(name):
 
 
 @pytest.mark.parametrize("name, rows", [
-    ("elliptic", 1), ("tilted", 1), ("elliptic_circle", 16),
-    ("degenerate_sin2", 16)])
+    ("elliptic", 1), ("tilted", 1), ("elliptic_label", 1),
+    ("elliptic_circle", 16), ("degenerate_sin2", 16)])
 def test_constant_coefficient_field_builds_one_row(name, rows, monkeypatch):
     # T commutes with y-shifts too when neither coefficient depends on x or
-    # y and every grid row has one quadtree depth: row 0 gives all of R
+    # y and no circle is declared at an ordinate: row 0 gives all of R
     spec = CIRCULANT_SPECS.get(name) or build_field(name)
     ctx = kernel_context(normalize(spec), 16)
     built = [0]
