@@ -390,9 +390,7 @@ class CharReport:
     sigma_max: float
     components: list
     min_abs_off_sigma: float
-    max_abs: float
     sign_fixed: bool
-    orientation: int  # sign of Im(a*conj(b)) away from the degenerate set
 
 
 def char_set_info(nf: NormalizedField, probe_n: int = 128) -> CharReport:
@@ -403,7 +401,6 @@ def char_set_info(nf: NormalizedField, probe_n: int = 128) -> CharReport:
     pos = float(im.max())
     neg = float(im.min())
     sign_fixed = not (pos > 1e-12 and neg < -1e-12)
-    orientation = 1 if pos > -neg else -1
 
     dist = np.full_like(im, np.inf)
     for c in nf.components:
@@ -432,5 +429,4 @@ def char_set_info(nf: NormalizedField, probe_n: int = 128) -> CharReport:
         slope = float(np.polyfit(np.log(ds), np.log(vals), 1)[0])
         comps.append(ComponentReport(
             c.label, c.sigma, slope, abs(slope - c.sigma) > 0.3))
-    return CharReport(nf.sigma_max, comps, min_off,
-                      max(abs(pos), abs(neg)), sign_fixed, orientation)
+    return CharReport(nf.sigma_max, comps, min_off, sign_fixed)

@@ -37,9 +37,7 @@ s* = p mod 1 has three parts:
   containing s* is dropped - its simple-pole part cancels by central
   symmetry, leaving an O((h 2^-depth)^(1+alpha)) error.  With the density
   frozen at the cell sample, the Holder-difference term of the classical
-  value-subtraction split vanishes identically.  Targets within 2/n of a
-  declared degenerate circle get extra levels, matching the locally worse
-  pole there.
+  value-subtraction split vanishes identically.
 
 Each kernel argument arg = Z(p) - Z(s) is lattice-reduced once, as
 arg + z0 = w + j + k*tau: theta_log_deriv_raw at (w, k) is the kernel
@@ -68,10 +66,9 @@ The context picks how T is built and applied once, from the field
   the spectrum on each call and caches nothing.  When neither coefficient
   depends on y either, Z is linear and the kernel depends on p - s alone,
   except that a source wrapping across y = 1 shifts Z by tau and the
-  kernel by -2 pi i.  If no circle is declared at an ordinate either,
-  every grid row has one quadtree depth and only row 0 is built, O(n^2)
-  work: R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], the -h^2
-  being the -2 pi i jump times the row scale h^2 / (2 pi i).  Either
+  kernel by -2 pi i.  Then only row 0 is built, O(n^2) work:
+  R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], the -h^2 being
+  the -2 pi i jump times the row scale h^2 / (2 pi i).  Either
   build takes its far field by x-shifts, and the n-row build transforms R
   along x in place, so the build peaks at two n^3 arrays.
 
@@ -101,7 +98,7 @@ from .theta import (ThetaContext, theta_log_deriv, theta_log_deriv_raw,
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
-REFINE_DEPTH = 6    # singular-cell quadtree depth away from declared circles
+REFINE_DEPTH = 6    # singular-cell quadtree depth, for every target
 _MATRIX_MAX_N = 80  # above this the n^4 weight matrix would not fit in RAM
 _ROW_BLOCK = 64     # target rows per block; bounds memory, never a value
 
@@ -146,10 +143,11 @@ class KernelContext:
         self.strategy = strategy_for(self.nf, self.n)
         x, y = grid_centers(self.n)
         a, b = self.nf.a(x, y), self.nf.b(x, y)
-        _check_closed(self.nf, x, y, np.max(np.abs(a) + np.abs(b)))
+        self.coeff_size = (np.abs(a) + np.abs(b)).astype(float)
+        _check_closed(self.nf, x, y, self.coeff_size.max())
+        _check_first_integral(self.nf, x, y, a, b, self.coeff_size.max())
         self.theta = ThetaContext(self.nf.lattice)
         self.zeval = ZEvaluator(self.nf, self.n)
-        self.coeff_size = (np.abs(a) + np.abs(b)).astype(float)
 
     @property
     def tau(self) -> complex:
@@ -166,16 +164,6 @@ class KernelContext:
     @property
     def z_centers(self) -> np.ndarray:
         return self.zeval.centers
-
-    def quadtree_depth(self, y) -> np.ndarray:
-        """Singular-cell quadtree depth for targets at ordinates y:
-        REFINE_DEPTH, plus extra levels within 2/n of a degenerate circle."""
-        y = np.asarray(y, dtype=float)
-        bump = np.zeros(y.shape, dtype=int)
-        for comp in self.nf.components:
-            near = comp.distance(y) <= 2.0 / self.n
-            bump[near] = np.maximum(bump[near], math.ceil(comp.sigma / 2.0))
-        return REFINE_DEPTH + bump
 
 
 def _check_closed(nf: NormalizedField, x, y, size: float) -> None:
@@ -199,6 +187,25 @@ def _check_closed(nf: NormalizedField, x, y, size: float) -> None:
             f"the form a dx + b dy is not closed: d a / d y - d b / d x "
             f"reaches {gap:.3g} on the grid for a = {spec.a_src!r}, "
             f"b = {spec.b_src!r}")
+
+
+def _check_first_integral(nf: NormalizedField, x, y, a, b, size) -> None:
+    """Refuse a z_exact that is not the field's first integral: d Z / d x
+    != a or d Z / d y != b at the samples (x, y), tested as _check_closed."""
+    if nf.z_exact_ast is None:
+        return
+    try:
+        zx, zy = [ep.eval_expr(ep.symbolic_diff(nf.z_exact_ast, v), x, y)
+                  for v in "xy"]
+    except ep.ExprDiffError:
+        return
+    for got, want in ((zx, a), (zy, b)):
+        gap = np.max(np.abs(got - want))
+        if gap > 1e-10 * np.max(np.abs(got) + np.abs(want)) + 1e-12 * size:
+            raise HypotorusError(
+                f"z_exact is not a first integral of the field: d Z / d x "
+                f"- a or d Z / d y - b reaches {gap:.3g} on the grid for "
+                f"z_exact = {nf.spec.z_exact_src!r}")
 
 
 def strategy_for(fld: FieldSpec | NormalizedField, n: int) -> str:
@@ -331,7 +338,7 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
 # --------------------------------------------------------- row engine
 
 @lru_cache(maxsize=256)
-def _singular_squares(rx: float, ry: float, depth: int):
+def _singular_squares(rx: float, ry: float, depth: int = REFINE_DEPTH):
     """Evaluated squares of the singular cell's dyadic quadtree toward the
     point (rx, ry): x offsets, y offsets and sides, in units of h relative
     to the cell center.  Each level splits the squares that still contain
@@ -359,11 +366,11 @@ def _singular_squares(rx: float, ry: float, depth: int):
 def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
     """Finished operator rows for targets with first-integral values zt.
 
-    sing lists the singular pairs (row, cell, ox, oy, depth): the target of
-    that row lies in that flat source cell at offset (ox, oy) from its
-    center, in units of h.  Every other cell holds the kernel at its center,
-    or its refined cell average where flagged; each singular cell holds the
-    kernel integrated over its quadtree of that depth, deepest block
+    sing lists the singular pairs (row, cell, ox, oy): the target of that
+    row lies in that flat source cell at offset (ox, oy) from its center, in
+    units of h.  Every other cell holds the kernel at its center, or its
+    refined cell average where flagged; each singular cell holds the kernel
+    integrated over its quadtree of REFINE_DEPTH levels, deepest block
     dropped.  The rows come scaled by h^2 / (2 pi i), ready to multiply a
     grid density.  A circulant context takes the far field by shifts
     (_far_field_by_shifts), a dense one by a series sum per cell."""
@@ -375,17 +382,17 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
         rows = theta_log_deriv_raw(ctx.theta, w, k)
         dist = _pole_distance(ctx, w)
     groups = {}
-    for r, c, ox, oy, depth in sing:
+    for r, c, ox, oy in sing:
         dist[r, c] = np.inf
-        groups.setdefault((ox, oy, int(depth)), []).append((r, c))
+        groups.setdefault((ox, oy), []).append((r, c))
     flag = dist < (h / KAPPA) * ctx.coeff_size.ravel()[None, :]
     if np.any(flag):
         tloc, cols = np.nonzero(flag)
         refined = _refined_cell_integrals(ctx, zt[tloc], cols)
         rows[tloc, cols] = refined / (h * h)
-    for (ox, oy, depth), pairs in groups.items():
+    for (ox, oy), pairs in groups.items():
         r, c = np.array(pairs).T
-        qx, qy, side = _singular_squares(ox, oy, depth)
+        qx, qy, side = _singular_squares(ox, oy)
         zs = ctx.zeval.at((c[:, None] // n + 0.5 + qx) * h,
                           (c[:, None] % n + 0.5 + qy) * h)
         vals = theta_log_deriv_raw(ctx.theta,
@@ -399,9 +406,7 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
 def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
     """Rows [r0, r1) of W: each grid target is singular in its own cell, at
     the cell center."""
-    t = np.arange(r0, r1)
-    depths = ctx.quadtree_depth((t % ctx.n + 0.5) / ctx.n)
-    sing = [(r, c, 0.0, 0.0, d) for r, (c, d) in enumerate(zip(t, depths))]
+    sing = [(r, c, 0.0, 0.0) for r, c in enumerate(range(r0, r1))]
     return _target_rows(ctx, ctx.z_centers.ravel()[r0:r1], sing)
 
 
@@ -432,13 +437,12 @@ def _cached_operator(ctx: KernelContext) -> np.ndarray:
     targets in the column x = h/2; spectrum[k] is the n x n matrix
     sum_d R[:, d, :] exp(2 pi i k d / n) that multiplies the k-th
     x-frequency of a density.  When R also follows from its first row
-    (constant coefficients, no circle declared at an ordinate), only that
-    row is built."""
+    (constant coefficients), only that row is built."""
     if ctx._operator is None:
         n = ctx.n
         if ctx.strategy == "dense":
             ctx._operator = _built_rows(ctx, n * n)
-        elif constant_coefficients(ctx.nf) and not ctx.nf.sigma_ordinates():
+        elif constant_coefficients(ctx.nf):
             # R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], as in
             # the module docstring; the -h^2 is constant along d, so only
             # the k = 0 spectrum sees it, n times
@@ -504,11 +508,10 @@ def _axis_cells(c: float, n: int):
 
 
 def _point_cells(ctx: KernelContext, x: float, y: float):
-    """Singular pairs (0, cell, ox, oy, depth) of the point row at (x, y):
-    every cell whose closure holds the point mod 1."""
+    """Singular pairs (0, cell, ox, oy) of the point row at (x, y): every
+    cell whose closure holds the point mod 1."""
     n = ctx.n
-    depth = ctx.quadtree_depth(y)
-    return [(0, i * n + j, ox, oy, depth)
+    return [(0, i * n + j, ox, oy)
             for (i, ox) in _axis_cells(x, n)
             for (j, oy) in _axis_cells(y, n)]
 
@@ -542,7 +545,7 @@ def t_omega_y_jump(ctx: KernelContext, g: GridFunction, x: float) -> complex:
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     jump = -complex(np.mean(g.values))
-    for _, c, ox, oy, depth in _point_cells(ctx, x, 0.0):
-        side = _singular_squares(ox, oy, int(depth))[2]
+    for _, c, ox, oy in _point_cells(ctx, x, 0.0):
+        side = _singular_squares(ox, oy)[2]
         jump += g.values.flat[c] * ctx.h ** 2 * (1.0 - np.sum(side * side))
     return jump

@@ -45,11 +45,6 @@ def ctx_elliptic_64(nf_elliptic):
 
 
 @pytest.fixture(scope="session")
-def ctx_deg_sin2_32(nf_deg_sin2):
-    return kernel_context(nf_deg_sin2, 32)
-
-
-@pytest.fixture(scope="session")
 def ctx_deg_sin2_64(nf_deg_sin2):
     return kernel_context(nf_deg_sin2, 64)
 

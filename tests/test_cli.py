@@ -324,6 +324,20 @@ def test_open_form_is_refused(tmp_path, capsys):
     assert not (tmp_path / "u.report.json").exists()
 
 
+def test_wrong_z_exact_is_refused(tmp_path, capsys):
+    # this z_exact is not the field's first integral; it gave "solvable:
+    # yes" with residual sup 9.5e-3
+    cfg = write_cfg(tmp_path, {
+        "field": {"a": "1", "b": "i",
+                  "z_exact": "x + i*y + 0.05*sin(2*pi*x)"},
+        "grid_n": 32, "equation": "f", "rhs": {"f": "exp(i*2*pi*(x+y))"}})
+    rc = cli.main(["solve", "--config", cfg,
+                   "--out-prefix", str(tmp_path / "u")])
+    assert rc == cli.EXIT_ERROR
+    assert "z_exact is not a first integral" in capsys.readouterr().err
+    assert not (tmp_path / "u.report.json").exists()
+
+
 def test_convergence_command(tmp_path, capsys):
     cfg = elliptic_f_cfg(tmp_path)
     rc = cli.main(["convergence", "--config", cfg, "--sizes", "16,32"])

@@ -37,13 +37,12 @@ X_INVARIANT_NO_Z = FieldSpec("custom", "1", "i*(1.5+sin(2*pi*y))", None, ())
 # one-row circulant build on the quadrature Z path
 TILTED_NO_Z = FieldSpec("custom", "1", "0.3+0.8*i", None, ())
 
-# elliptic with a declared circle: its quadtree depth varies with y, so it
-# keeps the n-row circulant build
+# elliptic with a declared circle, which shapes no part of the operator:
+# it takes the one-row circulant build
 ELLIPTIC_CIRCLE = FieldSpec("elliptic", "1", "i", "x + i*y",
                             (SigmaComponent(2.0, 0.3, "y=0.3"),))
 
-# elliptic with a component declared by label alone: no ordinate deepens
-# any row, so it keeps the one-row build
+# elliptic with a component declared by label alone: the one-row build
 ELLIPTIC_LABEL = FieldSpec("elliptic", "1", "i", "x + i*y",
                            (SigmaComponent(2.0, None, "a label"),))
 
@@ -313,10 +312,10 @@ def test_circulant_point_probe_matches_series(name):
 
 @pytest.mark.parametrize("name, rows", [
     ("elliptic", 1), ("tilted", 1), ("elliptic_label", 1),
-    ("elliptic_circle", 16), ("degenerate_sin2", 16)])
+    ("elliptic_circle", 1), ("degenerate_sin2", 16)])
 def test_constant_coefficient_field_builds_one_row(name, rows, monkeypatch):
     # T commutes with y-shifts too when neither coefficient depends on x or
-    # y and no circle is declared at an ordinate: row 0 gives all of R
+    # y: row 0 gives all of R
     spec = CIRCULANT_SPECS.get(name) or build_field(name)
     ctx = kernel_context(normalize(spec), 16)
     built = [0]
@@ -449,6 +448,20 @@ def test_open_form_is_refused_on_the_circulant_path():
         kernel_context(normalize(spec), 16)
 
 
+@pytest.mark.parametrize("z_exact", ["x + i*y + 0.05*sin(2*pi*x)",
+                                     "x + 2*i*y"])
+def test_z_exact_that_is_not_a_first_integral_is_refused(z_exact):
+    # d Z / d x = a and d Z / d y = b fail by 0.31 and 1.0 on the grid
+    spec = FieldSpec("custom", "1", "i", z_exact, ())
+    with pytest.raises(HypotorusError, match="not a first integral"):
+        kernel_context(normalize(spec), 32)
+    # normalization reflects y here, in the coefficients and in z_exact
+    # alike, so the check passes
+    flipped = normalize(FieldSpec("custom", "1", "-i", "x - i*y", ()))
+    assert flipped.flip_y
+    assert kernel_context(flipped, 16).strategy
+
+
 def test_circulant_rows_are_built_once(nf_deg_sin2, monkeypatch):
     # operator_matrix leaves the spectrum cached, so an apply builds nothing
     ctx = kernel_context(nf_deg_sin2, 16)
@@ -494,16 +507,6 @@ def test_lattice_dist(ctx_elliptic_16):
     d = reduced_lattice_distance(lattice_reduce(z, tau)[0], tau)
     assert np.allclose(d[:3], 0.0, atol=1e-12)
     assert abs(d[3] - np.sqrt(2) / 2) < 1e-12
-
-
-def test_row_depths(ctx_elliptic_16, ctx_deg_sin2_32):
-    ys16 = (np.arange(16) + 0.5) / 16
-    assert np.all(ctx_elliptic_16.quadtree_depth(ys16) == 6)
-    ys = (np.arange(32) + 0.5) / 32
-    depths = ctx_deg_sin2_32.quadtree_depth(ys)
-    near = np.abs((ys + 0.5) % 1.0 - 0.5) <= 2.0 / 32
-    assert np.all(depths[near] == 7)
-    assert np.all(depths[~near] == 6)
 
 
 def test_quadtree_squares_off_center():

@@ -18,7 +18,7 @@ from hypotorus import (
     t_omega,
     t_omega_point,
 )
-from hypotorus.kernel import kernel_context, t_omega_y_jump
+from hypotorus.kernel import REFINE_DEPTH, kernel_context, t_omega_y_jump
 from hypotorus import solvers as sv
 
 TWO_PI_I = 2.0j * np.pi
@@ -65,7 +65,7 @@ def test_boundary_offsets_are_the_dropped_blocks(request, nf_name):
     g = GridFunction(n, rng.normal(size=(n, n))
                      + 1j * rng.normal(size=(n, n)))
     h = 1.0 / n
-    depth = int(ctx.quadtree_depth(0.0))
+    depth = REFINE_DEPTH
     samples = (np.arange(sv.OFFSET_SAMPLES) + 0.5) / sv.OFFSET_SAMPLES
     dropped = {}
     for x in (0.0, *samples):
