@@ -15,7 +15,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,6 @@ EXIT_ERROR = 1
 EXIT_NO = 2
 EXIT_INCONCLUSIVE = 3
 
-_SOLVER_DEFAULTS = {"k_max": 3, "damping": 0.5, "max_iter": 200,
-                    "picard_tol": 1e-8, "lattice_tol": 1e-6}
-
 
 class ConfigError(HypotorusError):
     """Schema violation carrying a JSON-pointer-style path."""
@@ -52,7 +49,6 @@ class CaseConfig:
     grid_n: int
     equation: str
     rhs: dict
-    solver: dict = dfield(default_factory=lambda: dict(_SOLVER_DEFAULTS))
 
 
 def _require_object(obj, path):
@@ -75,17 +71,6 @@ def _get_int(obj, path, key, default, lo, hi):
     if not lo <= v <= hi:
         raise ConfigError(f"{path}/{key}", f"{v} outside [{lo}, {hi}]")
     return v
-
-
-def _get_real(obj, path, key, default, lo, hi):
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}/{key}", f"expected a number, got {v!r}")
-    if not lo < v <= hi:
-        raise ConfigError(f"{path}/{key}", f"{v} outside ({lo}, {hi}]")
-    return float(v)
 
 
 def _get_expr(obj, path, key):
@@ -202,7 +187,7 @@ def load_config(path: str) -> CaseConfig:
     except json.JSONDecodeError as exc:
         raise HypotorusError(f"config {path} is not valid JSON: {exc}") from exc
     _require_object(raw, "")
-    _reject_unknown(raw, "", {"field", "grid_n", "equation", "rhs", "solver"})
+    _reject_unknown(raw, "", {"field", "grid_n", "equation", "rhs"})
     if "field" not in raw:
         raise ConfigError("/field", "required")
     spec = _field_from_config(raw["field"], "/field")
@@ -216,23 +201,7 @@ def load_config(path: str) -> CaseConfig:
     if "rhs" not in raw:
         raise ConfigError("/rhs", "required")
     rhs = _rhs_from_config(raw["rhs"], "/rhs", equation)
-    sobj = raw.get("solver", {})
-    _require_object(sobj, "/solver")
-    _reject_unknown(sobj, "/solver", set(_SOLVER_DEFAULTS))
-    solver = dict(_SOLVER_DEFAULTS)
-    for key, get, lo, hi in (("k_max", _get_int, 0, 16),
-                             ("damping", _get_real, 0.0, 1.0),
-                             ("max_iter", _get_int, 1, 100000),
-                             ("picard_tol", _get_real, 0.0, 1.0),
-                             ("lattice_tol", _get_real, 0.0, 1.0)):
-        solver[key] = get(sobj, "/solver", key, solver[key], lo, hi)
-    if solver["lattice_tol"] >= 0.5:
-        raise ConfigError("/solver/lattice_tol",
-                          f"{solver['lattice_tol']} is not below 0.5: at "
-                          "half a lattice step every nu rounds onto the "
-                          "lattice")
-    return CaseConfig(spec=spec, grid_n=grid_n, equation=equation, rhs=rhs,
-                      solver=solver)
+    return CaseConfig(spec=spec, grid_n=grid_n, equation=equation, rhs=rhs)
 
 
 def _load_operator_config(path: str) -> CaseConfig:
@@ -291,19 +260,11 @@ def _assemble_case(cfg: CaseConfig, n: int):
 
 def _run_solve(cfg: CaseConfig, n: int):
     ctx, rhs = _assemble_case(cfg, n)
-    s = cfg.solver
     if cfg.equation == "f":
-        report = solve_f(ctx, GridFunction(n, rhs["f"]))
-    elif cfg.equation == "a":
-        report = solve_a(ctx, GridFunction(n, rhs["A"]),
-                         lattice_tol=s["lattice_tol"])
-    else:
-        report = solve_ab(ctx, GridFunction(n, rhs["A"]),
-                          GridFunction(n, rhs["B"]), k_max=s["k_max"],
-                          damping=s["damping"], max_iter=s["max_iter"],
-                          picard_tol=s["picard_tol"],
-                          lattice_tol=s["lattice_tol"])
-    return report
+        return solve_f(ctx, GridFunction(n, rhs["f"]))
+    if cfg.equation == "a":
+        return solve_a(ctx, GridFunction(n, rhs["A"]))
+    return solve_ab(ctx, GridFunction(n, rhs["A"]), GridFunction(n, rhs["B"]))
 
 
 # ---------------------------------------------------------------- outputs

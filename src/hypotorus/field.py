@@ -20,6 +20,9 @@ from .core import HypotorusError, Lattice, as_point, grid_centers
 
 GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
+LINE_TOL = 1e-10          # integrate_line stops once a doubling moves this
+LINE_MAX_PANELS = 4096    # ... and gives up beyond this many panels
+PROBE_N = 128             # char_set_info samples Im(a*conj(b)) on this grid
 
 
 @dataclass(frozen=True)
@@ -64,10 +67,6 @@ class FieldSpec:
     @property
     def z_exact_ast(self):
         return ep.parse_expr(self.z_exact_src) if self.z_exact_src else None
-
-    @property
-    def sigma_max(self) -> float:
-        return max((c.sigma for c in self.components), default=0.0)
 
 
 def parse_sigma_hint(hint: str) -> float | None:
@@ -135,11 +134,10 @@ def _gl_values(fn, lo, hi) -> np.ndarray:
     return half[..., None] * _GL_WEIGHTS * fn(nodes)
 
 
-def integrate_line(fn, lo: float, hi: float, breakpoints=(),
-                   tol: float = 1e-10, max_panels: int = 4096) -> complex:
+def integrate_line(fn, lo: float, hi: float, breakpoints=()) -> complex:
     """Composite 16-point Gauss-Legendre with panel doubling until the
-    value moves by at most tol.  Panels are split at the given interior
-    breakpoints (degenerate ordinates) from the start."""
+    value moves by at most LINE_TOL.  Panels are split at the given
+    interior breakpoints (degenerate ordinates) from the start."""
     if hi == lo:
         return 0j
     sign = 1.0
@@ -155,16 +153,16 @@ def integrate_line(fn, lo: float, hi: float, breakpoints=(),
     edges.append(np.array([hi]))
     edges = np.concatenate(edges)
     prev = complex(np.sum(_gl_values(fn, edges[:-1], edges[1:])))
-    while len(edges) - 1 <= max_panels:
+    while len(edges) - 1 <= LINE_MAX_PANELS:
         mids = 0.5 * (edges[:-1] + edges[1:])
         edges = np.sort(np.concatenate([edges, mids]))
         cur = complex(np.sum(_gl_values(fn, edges[:-1], edges[1:])))
-        if abs(cur - prev) <= tol:
+        if abs(cur - prev) <= LINE_TOL:
             return sign * cur
         prev = cur
     raise HypotorusError(
-        f"line quadrature failed to stabilize below {tol} "
-        f"with {max_panels} panels")
+        f"line quadrature failed to stabilize below {LINE_TOL} "
+        f"with {LINE_MAX_PANELS} panels")
 
 
 # ----------------------------------------------------------- normalization
@@ -198,22 +196,18 @@ class NormalizedField:
     def b(self, x, y):
         return ep.eval_expr(self.b_ast, x, y)
 
-    @property
-    def sigma_max(self) -> float:
-        return self.spec.sigma_max
-
     def sigma_ordinates(self):
         return tuple(c.y0 for c in self.components if c.y0 is not None)
 
 
-def periods(spec: FieldSpec, tol: float = 1e-10) -> tuple[complex, complex]:
+def periods(spec: FieldSpec) -> tuple[complex, complex]:
     """(c1, c2) = (integral of a dx along y=0, integral of b dy along x=0)."""
     a_ast, b_ast = spec.a_ast, spec.b_ast
     ords = tuple(c.y0 for c in spec.components if c.y0 is not None)
     c1 = integrate_line(lambda t: ep.eval_expr(a_ast, t, np.zeros_like(t)),
-                        0.0, 1.0, tol=tol)
+                        0.0, 1.0)
     c2 = integrate_line(lambda t: ep.eval_expr(b_ast, np.zeros_like(t), t),
-                        0.0, 1.0, breakpoints=ords, tol=tol)
+                        0.0, 1.0, breakpoints=ords)
     return c1, c2
 
 
@@ -273,8 +267,7 @@ def coeff_grid(nf: NormalizedField, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------- first integral
 
-def first_integral(nf: NormalizedField, p, path: str = "xy",
-                   tol: float = 1e-10) -> complex:
+def first_integral(nf: NormalizedField, p, path: str = "xy") -> complex:
     """Z(p): the form integrated from (0,0) along axis-parallel legs.
 
     path 'xy' goes through (x, 0); path 'yx' through (0, y).  The two must
@@ -288,16 +281,16 @@ def first_integral(nf: NormalizedField, p, path: str = "xy",
     shifted = tuple(o + k for o in ords for k in range(-2, 3))
     if path == "xy":
         leg1 = integrate_line(
-            lambda t: ep.eval_expr(a_ast, t, np.zeros_like(t)), 0.0, x, tol=tol)
+            lambda t: ep.eval_expr(a_ast, t, np.zeros_like(t)), 0.0, x)
         leg2 = integrate_line(
             lambda t: ep.eval_expr(b_ast, np.full_like(t, x), t), 0.0, y,
-            breakpoints=shifted, tol=tol)
+            breakpoints=shifted)
     elif path == "yx":
         leg1 = integrate_line(
             lambda t: ep.eval_expr(b_ast, np.zeros_like(t), t), 0.0, y,
-            breakpoints=shifted, tol=tol)
+            breakpoints=shifted)
         leg2 = integrate_line(
-            lambda t: ep.eval_expr(a_ast, t, np.full_like(t, y)), 0.0, x, tol=tol)
+            lambda t: ep.eval_expr(a_ast, t, np.full_like(t, y)), 0.0, x)
     else:
         raise HypotorusError(f"unknown path {path!r}")
     return leg1 + leg2
@@ -387,16 +380,16 @@ class ComponentReport:
 
 @dataclass
 class CharReport:
-    sigma_max: float
     components: list
     min_abs_off_sigma: float
     sign_fixed: bool
 
 
-def char_set_info(nf: NormalizedField, probe_n: int = 128) -> CharReport:
-    """Sample Im(a*conj(b)), fit vanishing rates at declared circles, and
-    confirm the sign never flips (ellipticity away from the circles)."""
-    x, y = grid_centers(probe_n)
+def char_set_info(nf: NormalizedField) -> CharReport:
+    """Sample Im(a*conj(b)) on the PROBE_N grid, fit vanishing rates at
+    declared circles, and confirm the sign never flips (ellipticity away
+    from the circles)."""
+    x, y = grid_centers(PROBE_N)
     im = np.asarray((nf.a(x, y) * np.conj(nf.b(x, y))).imag, dtype=float)
     pos = float(im.max())
     neg = float(im.min())
@@ -429,4 +422,4 @@ def char_set_info(nf: NormalizedField, probe_n: int = 128) -> CharReport:
         slope = float(np.polyfit(np.log(ds), np.log(vals), 1)[0])
         comps.append(ComponentReport(
             c.label, c.sigma, slope, abs(slope - c.sigma) > 0.3))
-    return CharReport(nf.sigma_max, comps, min_off, sign_fixed)
+    return CharReport(comps, min_off, sign_fixed)

@@ -166,13 +166,22 @@ class KernelContext:
         return self.zeval.centers
 
 
+def _gap(got, want, size: float) -> float:
+    """The largest |got - want| if it stands above rounding, 1e-10 of the
+    largest |got| + |want| plus 1e-12 of size (the largest |a| + |b| at the
+    samples); 0 otherwise."""
+    gap = np.max(np.abs(got - want))
+    if gap > 1e-10 * np.max(np.abs(got) + np.abs(want)) + 1e-12 * size:
+        return gap
+    return 0.0
+
+
 def _check_closed(nf: NormalizedField, x, y, size: float) -> None:
     """Refuse a form a dx + b dy that is not closed, d a / d y != d b / d x
     at the samples (x, y): it has no first integral.  Skipped when a does
     not depend on y and b not on x, where both sides vanish, and when a
     derivative cannot be taken symbolically (abs or conj of the variable).
-    size is the largest |a| + |b| at the samples, which sets the rounding
-    floor."""
+    size is the largest |a| + |b| at the samples, which _gap needs."""
     if not (ep.depends_on(nf.a_ast, "y") or ep.depends_on(nf.b_ast, "x")):
         return
     try:
@@ -181,8 +190,8 @@ def _check_closed(nf: NormalizedField, x, y, size: float) -> None:
     except ep.ExprDiffError:
         return
     spec = nf.spec
-    gap = np.max(np.abs(ay - bx))
-    if gap > 1e-10 * np.max(np.abs(ay) + np.abs(bx)) + 1e-12 * size:
+    gap = _gap(ay, bx, size)
+    if gap:
         raise HypotorusError(
             f"the form a dx + b dy is not closed: d a / d y - d b / d x "
             f"reaches {gap:.3g} on the grid for a = {spec.a_src!r}, "
@@ -191,7 +200,8 @@ def _check_closed(nf: NormalizedField, x, y, size: float) -> None:
 
 def _check_first_integral(nf: NormalizedField, x, y, a, b, size) -> None:
     """Refuse a z_exact that is not the field's first integral: d Z / d x
-    != a or d Z / d y != b at the samples (x, y), tested as _check_closed."""
+    != a or d Z / d y != b at the samples (x, y), by _gap as
+    _check_closed."""
     if nf.z_exact_ast is None:
         return
     try:
@@ -199,13 +209,12 @@ def _check_first_integral(nf: NormalizedField, x, y, a, b, size) -> None:
                   for v in "xy"]
     except ep.ExprDiffError:
         return
-    for got, want in ((zx, a), (zy, b)):
-        gap = np.max(np.abs(got - want))
-        if gap > 1e-10 * np.max(np.abs(got) + np.abs(want)) + 1e-12 * size:
-            raise HypotorusError(
-                f"z_exact is not a first integral of the field: d Z / d x "
-                f"- a or d Z / d y - b reaches {gap:.3g} on the grid for "
-                f"z_exact = {nf.spec.z_exact_src!r}")
+    gap = max(_gap(zx, a, size), _gap(zy, b, size))
+    if gap:
+        raise HypotorusError(
+            f"z_exact is not a first integral of the field: d Z / d x "
+            f"- a or d Z / d y - b reaches {gap:.3g} on the grid for "
+            f"z_exact = {nf.spec.z_exact_src!r}")
 
 
 def strategy_for(fld: FieldSpec | NormalizedField, n: int) -> str:

@@ -23,6 +23,11 @@ from .verify import ResidualReport, apply_l_fd, residual_report
 OFFSET_SAMPLES = 8      # boundary abscissae for the offset constancy
 MEAN_TOL = 1e-8         # relative gate on |mean f| for Lu = f solvability
 RESIDUAL_BOUND = 0.25   # a "yes" needs residual_sup <= this * (1 + sup|rhs|)
+K_MAX = 3               # solve_ab tries windings k = 0, +-1, ..., +-K_MAX
+DAMPING = 0.5           # Picard step v <- (1-d) v + d P_k v
+MAX_ITER = 200          # Picard steps per winding
+PICARD_TOL = 1e-8       # Picard stops once an update is at most this
+LATTICE_TOL = 1e-6      # exact-mode lattice tolerance in integer coordinates
 
 
 @dataclass
@@ -111,7 +116,7 @@ def nu_estimates(ctx: KernelContext, a_fn: GridFunction) -> NuEstimate:
     return NuEstimate(mean=nu_mean, boundary=nu_bdry)
 
 
-def lattice_project(nu: complex, lattice: Lattice, tol: float = 1e-6):
+def lattice_project(nu: complex, lattice: Lattice, tol: float = LATTICE_TOL):
     """Nearest lattice representation nu = j + k*tau, or None if nu is
     farther than tol from the lattice in each integer coordinate."""
     if not 0 < tol < 0.5:
@@ -172,29 +177,27 @@ def solve_f(ctx: KernelContext, f: GridFunction) -> SolveReport:
 
 # ---------------------------------------------------------------- Lu = Au
 
-def _lattice_tols(values: np.ndarray, nu_scale: float,
-                  lattice_tol: float) -> tuple[float, str]:
-    """Exact tolerance for grid-constant data, quadrature-scaled otherwise;
+def _lattice_tols(values: np.ndarray, nu_scale: float) -> tuple[float, str]:
+    """LATTICE_TOL for grid-constant data, quadrature-scaled otherwise;
     the note records both so reports show which mode applied."""
     exact = bool(np.ptp(values.real) == 0.0 and np.ptp(values.imag) == 0.0)
     # at half a lattice step every nu would round onto the lattice, so a
     # large |nu| stops the scaled tolerance just below it and leaves the
     # verdict to the residual bound
-    scaled = min(max(lattice_tol, 1e-2 * (1.0 + nu_scale)),
+    scaled = min(max(LATTICE_TOL, 1e-2 * (1.0 + nu_scale)),
                  math.nextafter(0.5, 0.0))
     if exact:
-        return lattice_tol, (f"lattice tol {lattice_tol:.1e} (exact mode; "
+        return LATTICE_TOL, (f"lattice tol {LATTICE_TOL:.1e} (exact mode; "
                              f"scaled mode would be {scaled:.1e})")
     return scaled, (f"lattice tol {scaled:.1e} (quadrature-scaled; "
-                    f"exact mode would be {lattice_tol:.1e})")
+                    f"exact mode would be {LATTICE_TOL:.1e})")
 
 
-def solve_a(ctx: KernelContext, a_fn: GridFunction,
-            lattice_tol: float = 1e-6) -> SolveReport:
+def solve_a(ctx: KernelContext, a_fn: GridFunction) -> SolveReport:
     """Lu = Au is solvable iff nu(A) lies on the lattice; then
     u = exp(T A - 2pi i k Z) is a nonvanishing doubly periodic solution."""
     nu = -mean_integral(a_fn) / (2.0j * np.pi)
-    tol, tol_note = _lattice_tols(a_fn.values, abs(nu), lattice_tol)
+    tol, tol_note = _lattice_tols(a_fn.values, abs(nu))
     jk = lattice_project(nu, ctx.nf.lattice, tol)
     nu_note = f"nu(A) = {nu:.8g}; {tol_note}"
     if jk is None:
@@ -238,39 +241,34 @@ def pk_apply(ctx: KernelContext, a_fn: GridFunction, b_fn: GridFunction,
 
 
 def pk_fixed_point(ctx: KernelContext, a_fn: GridFunction,
-                   b_fn: GridFunction, k: int, damping: float = 0.5,
-                   max_iter: int = 200,
-                   picard_tol: float = 1e-8) -> FixedPointState:
-    """Damped Picard iteration v <- (1-d) v + d P_k v from v = 0.
+                   b_fn: GridFunction, k: int) -> FixedPointState:
+    """Damped Picard iteration v <- (1-d) v + d P_k v from v = 0, with
+    d = DAMPING, for at most MAX_ITER steps, until an update is at most
+    PICARD_TOL.
 
-    When B vanishes the map is constant, so damping is overridden to 1 and
-    the iteration lands exactly in two steps.  A converged state always
-    satisfies the a-posteriori defect bound |v - P_k v| <= 10 * picard_tol;
+    When B vanishes the map is constant, so the damping is 1 and the
+    iteration lands exactly in two steps.  A converged state always
+    satisfies the a-posteriori defect bound |v - P_k v| <= 10 * PICARD_TOL;
     states failing it are reported unconverged rather than trusted.
     """
-    if not 0.0 < damping <= 1.0:
-        raise HypotorusError(f"damping must lie in (0, 1], got {damping}")
-    if max_iter < 1:
-        raise HypotorusError(f"max_iter must be positive, got {max_iter}")
-    if b_fn.sup_norm() == 0.0:
-        damping = 1.0
+    damping = 1.0 if b_fn.sup_norm() == 0.0 else DAMPING
     v = GridFunction.zeros(ctx.n)
     delta = np.inf
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         pv = pk_apply(ctx, a_fn, b_fn, k, v)
         new = GridFunction(
             ctx.n, (1.0 - damping) * v.values + damping * pv.values)
         delta = float(np.abs(new.values - v.values).max())
         v = new
-        if delta <= picard_tol:
+        if delta <= PICARD_TOL:
             converged = True
             break
     if converged:
         defect = float(np.abs(
             v.values - pk_apply(ctx, a_fn, b_fn, k, v).values).max())
-        if defect > 10.0 * picard_tol:
+        if defect > 10.0 * PICARD_TOL:
             converged = False
     return FixedPointState(k=k, v=v, delta_sup=delta, converged=converged,
                            iterations=it)
@@ -283,29 +281,25 @@ def _k_order(k_max: int):
     return ks
 
 
-def solve_ab(ctx: KernelContext, a_fn: GridFunction, b_fn: GridFunction,
-             k_max: int = 3, damping: float = 0.5, max_iter: int = 200,
-             picard_tol: float = 1e-8,
-             lattice_tol: float = 1e-6) -> SolveReport:
-    """Search windings k = 0, +-1, ..., +-k_max for a Picard fixed point
-    whose boundary offset is the lattice constant 2pi i (j - k tau); the
-    first hit yields u = exp(2pi i k Z + v).
+def solve_ab(ctx: KernelContext, a_fn: GridFunction,
+             b_fn: GridFunction) -> SolveReport:
+    """Search windings k = 0, +-1, ..., +-K_MAX for a Picard fixed point
+    (pk_fixed_point) whose boundary offset is the lattice constant
+    2pi i (j - k tau) within the _lattice_tols tolerance; the first hit
+    yields u = exp(2pi i k Z + v).
 
     Candidates are independent, and the verdict merges them in this fixed
     order, so running them sequentially with early exit gives the same
     answer as a concurrent sweep.  A "no" only means no winding in range
     passed with the fixed point found here; that caveat rides in notes.
     """
-    if k_max < 0:
-        raise HypotorusError(f"k_max must be nonnegative, got {k_max}")
     two_pi_i = 2.0j * np.pi
     tau = ctx.tau
     total_iter = 0
     any_unconverged = False
     trail = []
-    for k in _k_order(k_max):
-        state = pk_fixed_point(ctx, a_fn, b_fn, k, damping, max_iter,
-                               picard_tol)
+    for k in _k_order(K_MAX):
+        state = pk_fixed_point(ctx, a_fn, b_fn, k)
         total_iter += state.iterations
         if not state.converged:
             any_unconverged = True
@@ -315,7 +309,7 @@ def solve_ab(ctx: KernelContext, a_fn: GridFunction, b_fn: GridFunction,
         integrand = _pk_integrand(ctx, a_fn, b_fn, k, state.v)
         delta_k = -mean_integral(integrand)
         z = delta_k / two_pi_i              # should be j - k*tau
-        tol, tol_note = _lattice_tols(integrand.values, abs(z), lattice_tol)
+        tol, tol_note = _lattice_tols(integrand.values, abs(z))
         k_err = abs(z.imag / tau.imag + k)
         j_real = z.real + k * tau.real
         j = round(j_real)
@@ -336,7 +330,7 @@ def solve_ab(ctx: KernelContext, a_fn: GridFunction, b_fn: GridFunction,
     verdict = "inconclusive" if any_unconverged else "no"
     caveat = ("Picard iteration stalled for some windings"
               if any_unconverged else
-              f"no winding in |k| <= {k_max} matched with the fixed "
+              f"no winding in |k| <= {K_MAX} matched with the fixed "
               "points found here")
     return SolveReport(solvable=verdict, iterations=total_iter,
                        notes=caveat + "; " + "; ".join(trail))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hypotorus import GridFunction, HypotorusError, cli, kernel_context, solve_f
+from hypotorus import (GridFunction, HypotorusError, cli, kernel_context,
+                       solve_f, solvers)
 
 REPORT_KEYS = ["solvable", "j", "k", "nu_re", "nu_im", "residual_sup",
                "residual_l2", "iterations", "offset_constancy", "min_abs_u",
@@ -44,8 +45,6 @@ def test_load_config_defaults(tmp_path):
         "rhs": {"A": "1", "B": "0.1*exp(i*2*pi*y)"}}))
     assert cfg.spec.name == "degenerate_sin2"
     assert cfg.grid_n == 64
-    assert cfg.solver == {"k_max": 3, "damping": 0.5, "max_iter": 200,
-                          "picard_tol": 1e-8, "lattice_tol": 1e-6}
 
 
 @pytest.mark.parametrize("patch,pointer", [
@@ -60,16 +59,18 @@ def test_load_config_defaults(tmp_path):
     ({"rhs": {"f": "1", "manufactured_w": "x"}}, "/rhs/manufactured_w"),
     ({"rhs": {"f": "1", "B": "1"}}, "/rhs/B"),
     ({"rhs": {"f": "x +"}}, "/rhs/f"),
-    ({"solver": {"bogus": 1}}, "/solver/bogus"),
-    ({"solver": {"damping": 0.0}}, "/solver/damping"),
-    ({"solver": {"k_max": 17}}, "/solver/k_max"),
+    # the solver has no settings: a solver section is refused, even one
+    # that only repeats the constants
+    ({"solver": {"bogus": 1}}, "/solver"),
+    ({"solver": {"damping": 0.0}}, "/solver"),
+    ({"solver": {"k_max": 3}}, "/solver"),
     # the operator has no settings: a kernel or theta section is refused
     ({"kernel": {"refine_depth": 1}}, "/kernel"),
     ({"theta": {"tol": 0.5}}, "/theta"),
     ({"bogus": 1}, "/bogus"),
     ({"theta": {"tol": 1e-14}}, "/theta"),
     ({"grid_n": 257}, "/grid_n"),
-    ({"solver": {"lattice_tol": 0.5}}, "/solver/lattice_tol"),
+    ({"solver": {"lattice_tol": 0.5}}, "/solver"),
     *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",
                   "sigma": [{"sigma_i": 2, "hint": hint}]}},
        "/field/sigma/0/hint") for hint in ("y=0/1", "y=nan", "y=1e999")),
@@ -201,11 +202,13 @@ def test_solve_unsolvable_exit_and_outputs(tmp_path):
     assert list(report) == REPORT_KEYS
 
 
-def test_solve_inconclusive_exit(tmp_path):
+def test_solve_inconclusive_exit(tmp_path, monkeypatch):
+    # one Picard step at one winding cannot converge
+    monkeypatch.setattr(solvers, "MAX_ITER", 1)
+    monkeypatch.setattr(solvers, "K_MAX", 0)
     cfg = write_cfg(tmp_path, {
         "field": {"builtin": "elliptic"}, "grid_n": 16,
-        "equation": "ab", "rhs": {"A": "0", "B": "0.5"},
-        "solver": {"k_max": 0, "max_iter": 1}})
+        "equation": "ab", "rhs": {"A": "0", "B": "0.5"}})
     rc = cli.main(["solve", "--config", cfg,
                    "--out-prefix", str(tmp_path / "stall")])
     assert rc == cli.EXIT_INCONCLUSIVE

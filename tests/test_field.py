@@ -170,8 +170,7 @@ def test_zevaluator_layout_and_periods(nf_elliptic):
 
 
 def test_char_set_info_elliptic(nf_elliptic):
-    rep = char_set_info(nf_elliptic, probe_n=32)
-    assert rep.sigma_max == 0.0
+    rep = char_set_info(nf_elliptic)
     assert rep.sign_fixed
     assert rep.components == []
     assert rep.min_abs_off_sigma > 0.9
@@ -179,8 +178,7 @@ def test_char_set_info_elliptic(nf_elliptic):
 
 def test_char_set_info_degenerate(nf_deg_sin2, nf_deg_2d):
     for nf in (nf_deg_sin2, nf_deg_2d):
-        rep = char_set_info(nf, probe_n=64)
-        assert rep.sigma_max == 2.0
+        rep = char_set_info(nf)
         assert rep.sign_fixed
         assert rep.min_abs_off_sigma > 0.0
         (comp,) = rep.components
@@ -192,6 +190,6 @@ def test_char_set_info_degenerate(nf_deg_sin2, nf_deg_2d):
 def test_char_set_info_flags_wrong_declared_rate():
     spec = FieldSpec("overdeclared", "1", "i*sin(pi*y)^2", None,
                      (SigmaComponent(4.0, 0.0, "y=0"),))
-    rep = char_set_info(normalize(spec), probe_n=64)
+    rep = char_set_info(normalize(spec))
     (comp,) = rep.components
     assert comp.rate_mismatch

@@ -127,11 +127,12 @@ def test_lattice_project_refuses_half_a_step():
 
 def test_residual_bound_gates_every_yes(ctx_elliptic_16, monkeypatch):
     ctx = ctx_elliptic_16
+    monkeypatch.setattr(sv, "K_MAX", 1)
     f = GridFunction.from_callable(
         16, lambda x, y: np.exp(TWO_PI_I * (x + y)))
     a_fn = const_grid(16, -TWO_PI_I * ctx.tau)
     solves = (lambda: solve_f(ctx, f), lambda: solve_a(ctx, a_fn),
-              lambda: solve_ab(ctx, a_fn, const_grid(16, 0), k_max=1))
+              lambda: solve_ab(ctx, a_fn, const_grid(16, 0)))
     for solve in solves:
         assert solve().solvable == "yes"
     # a residual above the bound leaves the solution uncertified; the
@@ -238,7 +239,7 @@ def test_pk_integrand_phase_is_unimodular(ctx_elliptic_16):
 def test_pk_fixed_point_b_zero_lands_in_two_steps(ctx_elliptic_16):
     ctx = ctx_elliptic_16
     a_fn = GridFunction.from_callable(16, lambda x, y: np.exp(TWO_PI_I * x))
-    state = pk_fixed_point(ctx, a_fn, const_grid(16, 0), k=0, damping=0.5)
+    state = pk_fixed_point(ctx, a_fn, const_grid(16, 0), k=0)
     assert state.converged
     assert state.iterations == 2
     want = t_omega(ctx, a_fn)
@@ -252,26 +253,17 @@ def test_pk_fixed_point_zero_data(ctx_elliptic_16):
     assert np.all(state.v.values == 0)
 
 
-def test_pk_fixed_point_validation(ctx_elliptic_16):
-    zero = const_grid(16, 0)
-    with pytest.raises(HypotorusError):
-        pk_fixed_point(ctx_elliptic_16, zero, zero, 0, damping=0.0)
-    with pytest.raises(HypotorusError):
-        pk_fixed_point(ctx_elliptic_16, zero, zero, 0, damping=1.5)
-    with pytest.raises(HypotorusError):
-        pk_fixed_point(ctx_elliptic_16, zero, zero, 0, max_iter=0)
-
-
 def test_k_order():
     assert sv._k_order(3) == [0, 1, -1, 2, -2, 3, -3]
     assert sv._k_order(0) == [0]
 
 
-def test_solve_ab_b_zero_reduces_to_solve_a(ctx_elliptic_16):
+def test_solve_ab_b_zero_reduces_to_solve_a(ctx_elliptic_16, monkeypatch):
+    monkeypatch.setattr(sv, "K_MAX", 1)
     ctx = ctx_elliptic_16
     a_fn = const_grid(16, -TWO_PI_I * ctx.tau)
     rep_a = solve_a(ctx, a_fn)
-    rep_ab = solve_ab(ctx, a_fn, const_grid(16, 0), k_max=1)
+    rep_ab = solve_ab(ctx, a_fn, const_grid(16, 0))
     assert rep_ab.solvable == "yes"
     assert rep_ab.k == -rep_a.k
     assert rep_ab.j == 0
@@ -279,19 +271,13 @@ def test_solve_ab_b_zero_reduces_to_solve_a(ctx_elliptic_16):
     assert np.max(np.abs(rep_ab.u.values - rep_a.u.values)) < 1e-10
 
 
-def test_solve_ab_no_matching_winding(ctx_elliptic_16):
-    rep = solve_ab(ctx_elliptic_16, const_grid(16, 1), const_grid(16, 0),
-                   k_max=1)
+def test_solve_ab_no_matching_winding(ctx_elliptic_16, monkeypatch):
+    monkeypatch.setattr(sv, "K_MAX", 1)
+    rep = solve_ab(ctx_elliptic_16, const_grid(16, 1), const_grid(16, 0))
     assert rep.solvable == "no"
     assert rep.u is None
     assert "k=0" in rep.notes and "k=-1" in rep.notes
     assert rep.iterations == 3 * 2
-
-
-def test_solve_ab_validation(ctx_elliptic_16):
-    with pytest.raises(HypotorusError):
-        solve_ab(ctx_elliptic_16, const_grid(16, 0), const_grid(16, 0),
-                 k_max=-1)
 
 
 def test_similarity_check_degenerate(ctx_elliptic_16):
