@@ -34,6 +34,8 @@ EXIT_ERROR = 1
 EXIT_NO = 2
 EXIT_INCONCLUSIVE = 3
 
+GRID_N_MIN, GRID_N_MAX = 16, 256  # the grid sizes every command accepts
+
 
 class ConfigError(HypotorusError):
     """Schema violation carrying a JSON-pointer-style path."""
@@ -62,14 +64,15 @@ def _reject_unknown(obj, path, allowed):
             raise ConfigError(f"{path}/{key}", "unknown key")
 
 
-def _get_int(obj, path, key, default, lo, hi):
-    if key not in obj:
-        return default
-    v = obj[key]
+def _get_grid_n(raw) -> int:
+    """The config's grid_n, 64 when absent: an integer that
+    _grid_range_error accepts."""
+    v = raw.get("grid_n", 64)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}/{key}", f"expected an integer, got {v!r}")
-    if not lo <= v <= hi:
-        raise ConfigError(f"{path}/{key}", f"{v} outside [{lo}, {hi}]")
+        raise ConfigError("/grid_n", f"expected an integer, got {v!r}")
+    range_error = _grid_range_error(v)
+    if range_error:
+        raise ConfigError("/grid_n", range_error)
     return v
 
 
@@ -165,12 +168,21 @@ def _rhs_from_config(obj, path, equation) -> dict:
     return out
 
 
+def _grid_range_error(n: int) -> str | None:
+    """Why grid size n is refused by every command, or None if it is not:
+    n outside [GRID_N_MIN, GRID_N_MAX]."""
+    if not GRID_N_MIN <= n <= GRID_N_MAX:
+        return f"{n} outside [{GRID_N_MIN}, {GRID_N_MAX}]"
+    return None
+
+
 def _grid_size_error(spec: FieldSpec, n: int) -> str | None:
     """Why an operator on the field `spec` at grid size n is refused, or
-    None if it is not: n outside [16, 256], or kernel.strategy_for's
-    refusal."""
-    if not 16 <= n <= 256:
-        return f"{n} outside [16, 256]"
+    None if it is not: _grid_range_error's refusal, or
+    kernel.strategy_for's."""
+    range_error = _grid_range_error(n)
+    if range_error:
+        return range_error
     try:
         strategy_for(spec, n)
     except HypotorusError as exc:
@@ -193,7 +205,7 @@ def load_config(path: str) -> CaseConfig:
     spec = _field_from_config(raw["field"], "/field")
     # the field's own limit is checked where an operator is built:
     # _load_operator_config
-    grid_n = _get_int(raw, "", "grid_n", 64, 16, 256)
+    grid_n = _get_grid_n(raw)
     equation = raw.get("equation")
     if equation not in ("f", "a", "ab"):
         raise ConfigError("/equation",

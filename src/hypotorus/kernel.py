@@ -39,11 +39,15 @@ s* = p mod 1 has three parts:
   frozen at the cell sample, the Holder-difference term of the classical
   value-subtraction split vanishes identically.
 
-Each kernel argument arg = Z(p) - Z(s) is lattice-reduced once, as
-arg + z0 = w + j + k*tau: theta_log_deriv_raw at (w, k) is the kernel
-value, and the pole distance that decides refinement is the distance of
-w - z0 from the lattice, from its real and imaginary parts
-(_pole_distance).
+Each far-field and singular-cell kernel argument arg = Z(p) - Z(s) is
+lattice-reduced once, as arg + z0 = w + j + k*tau: theta_log_deriv_raw at
+(w, k) is the kernel value, and the pole distance that decides refinement
+is the distance of w - z0 from the lattice, from its real and imaginary
+parts (_pole_distance).  A refined (target, cell) pair is reduced once, at
+its cell center, to its pole lam = j + k*tau; its squares then carry
+their offset e = arg - lam, whose modulus is the pole distance within
+half the shortest lattice vector, and theta_log_deriv_raw values them at
+(z0 + e, k), by the pole's Laurent series near it.
 
 One function finishes the row of any target from its Z value and its
 singular cells: a grid target is singular in its own cell at the center, a
@@ -291,39 +295,62 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
     its distance from the pole.  zt[i] is the target's Z value, cols[i] the
     flat source-cell index.
 
+    Each pair is reduced once, at its cell center: Z(p) - Z(center) + z0 =
+    w + lam + z0 with lam = j + k*tau, the pair's pole.  A square s of the
+    pair then carries e = (Z(p) - lam) - Z(s), and its kernel value is
+    theta_log_deriv_raw at (z0 + e, k).  Within |e| < R/2 (R the shortest
+    lattice vector) lam is the nearest lattice point, so the pole distance
+    is |e| exactly; only squares farther out are reduced again for it.
+
     Every square of a level has the same side.  Each square keeps the index
     of its ordinate in a table of the level's distinct ordinates (about a
     tenth as many near a degenerate circle); a child's table is its
     parent's shifted by a quarter side either way, pruned to the entries
-    that split squares use.  A circulant context evaluates Z and |a| + |b|
-    once per ordinate, on that table: neither coefficient depends on x, so
-    a is constant and Z(x, y) = Z(0, y) + a x.  A dense context evaluates
-    them at every square."""
+    that split squares use.  A circulant context evaluates Z and |b| once
+    per ordinate, on that table, and a once per call: neither coefficient
+    depends on x, so a is constant and Z(x, y) = Z(0, y) + a x.  A dense
+    context evaluates them at every square."""
     n, h = ctx.n, ctx.h
+    half_radius = ctx.theta.pole_radius / 2.0
     out = np.zeros(len(cols), dtype=complex)
     pair = np.arange(len(cols))
     mx = (cols // n + 0.5) * h
     ys = (np.arange(n) + 0.5) * h  # the table of ordinates
     row = cols % n                 # each square's index into it
     side = h
-    zt_sq = np.asarray(zt, dtype=complex).copy()
+    if ctx.strategy == "circulant":
+        a = complex(ctx.nf.a(0.0, 0.0))
     for level in range(MAX_LEVEL + 1):
         if ctx.strategy == "circulant":
             x0 = np.zeros_like(ys)
-            a, b = ctx.nf.a(x0, ys), ctx.nf.b(x0, ys)
-            zs = ctx.zeval.at(x0, ys)[row] + a[row] * mx
-            size = (np.abs(a) + np.abs(b))[row]
+            zs = ctx.zeval.at(x0, ys)[row]
+            zs += a * mx
+            stretch = (side * (abs(a) + np.abs(ctx.nf.b(x0, ys))))[row]
         else:
             my = ys[row]
             zs = ctx.zeval.at(mx, my)
-            size = np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my))
-        w, k = _reduce(ctx, zt_sq - zs)
-        d = _pole_distance(ctx, w)
-        split = (side * size >= KAPPA * d) & (level < MAX_LEVEL)
+            stretch = side * (np.abs(ctx.nf.a(mx, my))
+                              + np.abs(ctx.nf.b(mx, my)))
+        if level == 0:
+            _, j, k = lattice_reduce(zt - zs + ctx.z0, ctx.tau)
+            zp = zt - (j + k * ctx.tau)  # Z(p) - lam, per pair
+        e = zp[pair] - zs
+        d = np.abs(e)
+        beyond = d >= half_radius
+        if np.any(beyond):
+            wb, kb = _reduce(ctx, e[beyond])
+            d[beyond] = _pole_distance(ctx, wb)
+        split = (stretch >= KAPPA * d) & (level < MAX_LEVEL)
         leaf = ~split
         if np.any(leaf):
-            vals = (theta_log_deriv_raw(ctx.theta, w[leaf], k[leaf])
-                    * side ** 2)
+            w, kl = e[leaf] + ctx.z0, k[pair[leaf]]
+            if np.any(beyond):
+                # e + z0 = wb + j' + k'*tau, so the value is at (wb, k + k')
+                far, fb = beyond[leaf], leaf[beyond]
+                w[far] = wb[fb]
+                kl[far] += kb[fb]
+            vals = theta_log_deriv_raw(ctx.theta, w, kl)
+            vals *= side ** 2
             np.add.at(out, pair[leaf], vals)
         if not np.any(split):
             break
@@ -340,7 +367,6 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
         mx = np.concatenate([mx0 - q, mx0 - q, mx0 + q, mx0 + q])
         side /= 2.0
         pair = np.tile(pair[split], 4)
-        zt_sq = np.tile(zt_sq[split], 4)
     return out
 
 
@@ -388,7 +414,10 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
         rows, dist = _far_field_by_shifts(ctx, zt)
     else:
         w, k = _reduce(ctx, zt[:, None] - ctx.z_centers.ravel()[None, :])
-        rows = theta_log_deriv_raw(ctx.theta, w, k)
+        # a target's own cell sits on the pole, where the Laurent series
+        # divides by zero; the singular quadtree below replaces that value
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = theta_log_deriv_raw(ctx.theta, w, k)
         dist = _pole_distance(ctx, w)
     groups = {}
     for r, c, ox, oy in sing:

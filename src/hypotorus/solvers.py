@@ -218,7 +218,10 @@ def solve_a(ctx: KernelContext, a_fn: GridFunction) -> SolveReport:
 # ------------------------------------------------- Lu = Au + B * conj(u)
 
 def _bk_factor(ctx: KernelContext, b_fn: GridFunction, k: int) -> np.ndarray:
-    """B twisted by the k-th winding: B * exp(-2pi i k (Z + conj(Z)))."""
+    """B twisted by the k-th winding: B * exp(-2pi i k (Z + conj(Z))), which
+    is B itself at k = 0."""
+    if k == 0:
+        return b_fn.values
     z = ctx.z_centers
     return b_fn.values * np.exp(-2.0j * np.pi * k * (z + np.conj(z)))
 
@@ -250,14 +253,18 @@ def pk_fixed_point(ctx: KernelContext, a_fn: GridFunction,
     iteration lands exactly in two steps.  A converged state always
     satisfies the a-posteriori defect bound |v - P_k v| <= 10 * PICARD_TOL;
     states failing it are reported unconverged rather than trusted.
+
+    P_k with B is P_0 with B twisted by the winding (_bk_factor), so B is
+    twisted once here, not on every step.
     """
     damping = 1.0 if b_fn.sup_norm() == 0.0 else DAMPING
+    bk = GridFunction(ctx.n, _bk_factor(ctx, b_fn, k))
     v = GridFunction.zeros(ctx.n)
     delta = np.inf
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        pv = pk_apply(ctx, a_fn, b_fn, k, v)
+        pv = pk_apply(ctx, a_fn, bk, 0, v)
         new = GridFunction(
             ctx.n, (1.0 - damping) * v.values + damping * pv.values)
         delta = float(np.abs(new.values - v.values).max())
@@ -267,7 +274,7 @@ def pk_fixed_point(ctx: KernelContext, a_fn: GridFunction,
             break
     if converged:
         defect = float(np.abs(
-            v.values - pk_apply(ctx, a_fn, b_fn, k, v).values).max())
+            v.values - pk_apply(ctx, a_fn, bk, 0, v).values).max())
         if defect > 10.0 * PICARD_TOL:
             converged = False
     return FixedPointState(k=k, v=v, delta_sup=delta, converged=converged,

@@ -9,6 +9,14 @@ which satisfies Theta(z+1) = Theta(z), Theta(z+tau) = exp(-i*pi*tau -
 z0 = (1+tau)/2.  Arguments are lattice-reduced before summation and the
 quasi-periodicity factors are multiplied back exactly, so evaluation never
 overflows for moderate lattice shifts.
+
+Near z0 the logarithmic derivative is the Laurent series of the pole,
+
+    Theta'/Theta(z0 + e) = 1/e - i*pi + sum_j g_{2j+1} e^(2j+1),
+
+from Theta(z0 + e) = i e^(-i*pi*e - i*pi*tau/4) theta_1(pi*e) and the odd
+theta_1'/theta_1 (Whittaker & Watson, section 21).  It converges for |e|
+below the shortest lattice vector R, the distance to the next zero.
 """
 
 from __future__ import annotations
@@ -23,6 +31,10 @@ from .core import (HypotorusError, Lattice, lattice_reduce,
 
 
 THETA_TOL = 1e-14  # series truncation tolerance of every ThetaContext
+_POLE_NODES = 128  # samples on |e| = R/2 whose FFT gives the pole's series
+# a term g_m e^m of the pole's Laurent series is kept while |g_m| |e|^(m+1),
+# its size relative to the 1/e it corrects, exceeds this
+_POLE_TOL = np.finfo(float).eps / 8.0
 
 
 class PoleProximityError(HypotorusError):
@@ -68,6 +80,19 @@ def closed_form_terms(tau: complex, tol: float) -> int:
     return int(m + 2 * math.ceil(ymax / tau.imag) + 2)
 
 
+def _shortest_vector(tau: complex) -> float:
+    """Length of the shortest nonzero vector j + k*tau of the lattice.  For
+    each k >= 1 the nearest j is the integer nearest k*Re(tau); the search
+    stops once k*Im(tau) alone exceeds the best length found."""
+    tau = complex(tau)
+    best, k = 1.0, 1
+    while k * tau.imag < best:
+        x = k * tau.real
+        best = min(best, math.hypot(x - round(x), k * tau.imag))
+        k += 1
+    return best
+
+
 @dataclass
 class ThetaContext:
     """Precomputed series data for one lattice, truncated at THETA_TOL."""
@@ -78,6 +103,12 @@ class ThetaContext:
     _laurent: np.ndarray = field(init=False, repr=False)
     # Theta = Q(u + 1/u): the coefficients of Q, highest degree first
     _horner: np.ndarray = field(init=False, repr=False)
+    # the shortest lattice vector: the pole's Laurent series converges for
+    # |e| < pole_radius, and theta_log_deriv_raw sums it for |e| < R/4
+    pole_radius: float = field(init=False)
+    # 1, g_1, g_3, ...: the pole's Laurent series is Q(e^2)/e - i*pi with
+    # Q(x) = 1 + g_1 x + g_3 x^2 + ... (module docstring)
+    _pole_q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.m_max = truncation_terms(self.lattice.tau, THETA_TOL)
@@ -93,6 +124,24 @@ class ThetaContext:
         q = self._laurent[1:] @ lucas[1:]
         q[0] += 1.0
         self._horner = q[::-1].copy()
+        self._pole_series()
+
+    def _pole_series(self):
+        """The pole's Laurent coefficients, from the theta series sampled on
+        |e| = R/2, where it is accurate: the FFT of f(e) = Theta'/Theta(z0 +
+        e) - 1/e + i*pi gives g_m (R/2)^m, aliased only by terms of order
+        2^-_POLE_NODES.  The even ones vanish, as f is odd, and are not
+        kept."""
+        tau = self.lattice.tau
+        self.pole_radius = _shortest_vector(tau)
+        rho = self.pole_radius / 2.0
+        e = rho * np.exp(2j * math.pi * np.arange(_POLE_NODES) / _POLE_NODES)
+        w, _, k = lattice_reduce(self.zero_point + e, tau)
+        s0, s1 = _series_pair(self, w)
+        f = s1 / s0 - 2j * math.pi * k - 1.0 / e + 1j * math.pi
+        m = np.arange(1, _POLE_NODES // 2, 2)
+        odd = np.fft.fft(f)[m] / _POLE_NODES / rho ** m
+        self._pole_q = np.concatenate([[1.0], odd])
 
     @property
     def zero_point(self) -> complex:
@@ -170,17 +219,65 @@ def theta_log_deriv(ctx: ThetaContext, z) -> complex:
 
 def theta_log_deriv_raw(ctx: ThetaContext, w, k) -> np.ndarray:
     """Theta'/Theta(w) - 2*pi*i*k, the value at w + j + k*tau, for w that
-    lattice_reduce has already put in the fundamental cell.  w is summed as
-    given, with no second reduction and no pole-distance guard.  Every
-    kernel value of the operator comes from this function, except the far
-    field on a circulant context (theta_log_deriv_shifts)."""
-    s0, s1 = _series_pair(ctx, w)
-    return s1 / s0 - 2j * math.pi * k
+    lattice_reduce has already put in the fundamental cell, or that lies
+    within R/2 of z0 (R = ctx.pole_radius): then |Im w| <= Im(tau)/2 + R/2
+    stays inside the series' truncation range 2 Im(tau) whenever R <= 3
+    Im(tau), as for every Im(tau) >= 1/3.  w is summed as given, with no
+    second reduction and no pole-distance guard.  Every kernel value of the
+    operator comes from this function, except the far field on a circulant
+    context (theta_log_deriv_shifts).
+
+    Points with |w - z0| < R/4 take the pole's Laurent series (module
+    docstring), one Horner pass in e^2 with e = w - z0, as many terms as the
+    batch's largest |e| needs; the series quotient there would lose about
+    eps/|e| of relative accuracy to the rounding of Theta near its zero.
+    The Laurent form treats z0 as the zero exactly and is relative-exact.
+    All other points take the theta series.  At w = z0 the value is not
+    finite."""
+    w = np.asarray(w, dtype=complex)
+    e = w - ctx.zero_point
+    e2abs = (e * e.conj()).real
+    near = e2abs < (ctx.pole_radius / 4.0) ** 2
+    if near.all():
+        out = _pole_laurent(ctx, e, e2abs)
+    elif not near.any():
+        s0, s1 = _series_pair(ctx, w)
+        out = s1 / s0
+    else:
+        out = np.empty_like(w)
+        far = ~near
+        s0, s1 = _series_pair(ctx, w[far])
+        out[far] = s1 / s0
+        out[near] = _pole_laurent(ctx, e[near], e2abs[near])
+    return out - 2j * math.pi * k
+
+
+def _pole_laurent(ctx: ThetaContext, e: np.ndarray,
+                  e2abs: np.ndarray) -> np.ndarray:
+    """Theta'/Theta(z0 + e) = Q(e^2) conj(e) / |e|^2 - i*pi for |e| < R/4,
+    given e2abs = |e|^2, with the terms of Q that the largest |e| needs:
+    each term left out is below _POLE_TOL of 1/e there, and the terms fall
+    about geometrically, by (|e|/R)^2 <= 1/16 apiece."""
+    # |g_m| |e|^(m+1) for m = 1, 3, ..., from |e|^2
+    g = ctx._pole_q[1:]
+    size = np.abs(g) * np.max(e2abs) ** np.arange(1, g.size + 1)
+    kept = np.flatnonzero(size > _POLE_TOL)
+    coef = ctx._pole_q[:kept[-1] + 2] if kept.size else ctx._pole_q[:1]
+    e2 = e * e
+    q = np.full_like(e, coef[-1])
+    for c in coef[-2::-1]:
+        q *= e2
+        q += c
+    q *= e.conj()
+    q *= 1.0 / e2abs
+    q -= 1j * math.pi
+    return q
 
 
 def theta_log_deriv_shifts(ctx: ThetaContext, w, k, n: int) -> np.ndarray:
     """theta_log_deriv_raw at w - d/n for d = 0..n-1, along a new axis
-    before the last: out[..., d, :] is the value at w[..., :] - d/n.
+    before the last: out[..., d, :] is the value at w[..., :] - d/n.  All
+    values come from the theta series, the Laurent disc's too.
 
     The shifts are real, so k is shared, and the Laurent terms c_m u^m of
     Theta(w - d/n) carry the factor e^{-2*pi*i*m*d/n}.  Folding the terms

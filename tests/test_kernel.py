@@ -1,6 +1,7 @@
 import copy
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -427,6 +428,64 @@ def test_refinement_leaves_are_pinned(nf_deg_sin2, monkeypatch):
     monkeypatch.setenv("HYPOTORUS_THREADS", "1")
     t_omega(kernel_context(nf_deg_sin2, 32), GridFunction.zeros(32))
     assert count[0] == 166916
+
+
+def test_refinement_reduces_each_pair_once(nf_deg_sin2, monkeypatch):
+    # a refinement reduces each flagged (target, cell) pair once, at its
+    # cell center; afterwards only squares whose offset e from the pair's
+    # pole is at least R/2 are reduced again, to find their pole distance
+    original, calls, inside = core.lattice_reduce, [], [False]
+    refined = kn._refined_cell_integrals
+
+    def recording(z, tau):
+        if inside[0]:
+            calls[-1].append(np.asarray(z).ravel())
+        return original(z, tau)
+
+    def marking(ctx, zt, cols):
+        inside[0] = True
+        calls.append([len(cols)])
+        try:
+            return refined(ctx, zt, cols)
+        finally:
+            inside[0] = False
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hypotorus") and hasattr(mod, "lattice_reduce"):
+            monkeypatch.setattr(mod, "lattice_reduce", recording)
+    monkeypatch.setattr(kn, "_refined_cell_integrals", marking)
+    monkeypatch.setenv("HYPOTORUS_THREADS", "1")
+    ctx = kernel_context(nf_deg_sin2, 32)
+    t_omega(ctx, GridFunction.zeros(32))
+    assert calls
+    for pairs, first, *fallbacks in calls:
+        assert first.size == pairs
+        for z in fallbacks:
+            assert np.all(np.abs(z - ctx.z0) >= ctx.theta.pole_radius / 2)
+    # no pair of this build reaches R/2, so refine every cell of target 0:
+    # those that stay one square, most of them beyond R/2, must match the
+    # far field's value at the cell center
+    zt = ctx.z_centers.ravel()[:1]
+    rows, dist = kn._far_field_by_shifts(ctx, zt)
+    cols = np.arange(1, 32 * 32)
+    one = ctx.coeff_size.ravel()[cols] / 32 < 0.9 * kn.KAPPA * dist[0, cols]
+    got = kn._refined_cell_integrals(ctx, np.repeat(zt, len(cols)), cols)
+    assert len(calls[-1]) > 2
+    assert np.allclose(got[one] * 32 * 32, rows[0, cols[one]], rtol=1e-12,
+                       atol=0.0)
+
+
+def test_dense_build_and_corner_probe_raise_no_warning(nf_deg_2d):
+    # each target's own cell sits exactly on the pole, where the Laurent
+    # series divides by zero; the singular quadtree replaces that value
+    # without a warning, and so does a probe on a cell corner
+    ctx = kernel_context(nf_deg_2d, 16)
+    g = GridFunction.from_callable(16, lambda x, y: np.cos(2 * np.pi * x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = operator_matrix(ctx)
+        v = t_omega_point(ctx, g, (0.25, 0.5))
+    assert np.all(np.isfinite(w)) and np.isfinite(v)
 
 
 def test_open_form_is_refused_where_the_field_depends_on_x():

@@ -68,6 +68,33 @@ def test_log_deriv_matches_mpmath():
             assert np.all(np.abs(got - want) * dist <= 4e-15 / dist)
 
 
+def test_log_deriv_inside_laurent_disc_is_relative_exact():
+    # 200 points at 1e-8 <= |w - z0| < R/4, where theta_log_deriv_raw sums
+    # the pole's Laurent series.  The theta series quotient loses about
+    # eps / |w - z0| of relative accuracy there (2.8e-11 at 1e-6).  The
+    # Laurent series takes z0 as the zero exactly, so the reference is the
+    # log-derivative at the exact zero (1 + tau)/2 plus e = w - z0 as the
+    # function forms it.
+    rng = np.random.default_rng(11)
+    with mpmath.workdps(30):
+        for tau in TAUS:
+            ctx = theta_context(tau)
+            z0 = ctx.zero_point
+            r = np.exp(rng.uniform(np.log(1e-8), np.log(ctx.pole_radius / 4),
+                                   200))
+            w = z0 + r * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+            got = theta_log_deriv_raw(ctx, w, 0)
+            q = mpmath.exp(1j * mpmath.pi * tau)
+            zero = (1 + mpmath.mpc(tau)) / 2
+            want = []
+            for e in w - z0:
+                z = mpmath.pi * (zero + mpmath.mpc(e))
+                want.append(complex(mpmath.pi * mpmath.jtheta(3, z, q, 1)
+                                    / mpmath.jtheta(3, z, q)))
+            want = np.array(want)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
 def test_log_deriv_shifts_match_series():
     # n = 4 and 8 fold the 2 m_max + 1 Laurent terms mod n
     rng = np.random.default_rng(9)
