@@ -58,16 +58,17 @@ rows at (x, 0) and (x, 1) only the kernel's lattice index moves, so their
 difference has a closed form that needs no kernel value (t_omega_y_jump).
 
 The context picks how T is built and applied once, from the field
-(strategy_for), and caches one array for it, built on first use:
+(strategy_for), and caches one array for it, the matrix of T in the basis
+it is applied in, built on first use (operator_matrix):
 
 * circulant: when neither coefficient depends on x, the closed form has
   a = 1 and Z = x + phi(y), so the kernel depends on x - x' alone and T
   commutes with x-translations:
   W[(i, j), (i', j')] = R[j, (i' - i) mod n, j'], where R is the first n
   rows of W.  Only R is built, O(n^3) work and memory, and only its
-  spectrum along x is kept; an apply is an FFT along x with one n x n
-  product per x-frequency, at every n.  operator_matrix expands W from
-  the spectrum on each call and caches nothing.  When neither coefficient
+  spectrum along x is kept: the n blocks of n x n in which T acts on
+  the x-frequencies of a density.  An apply is an FFT along x with one
+  block product per x-frequency, at every n.  When neither coefficient
   depends on y either, Z is linear and the kernel depends on p - s alone,
   except that a source wrapping across y = 1 shifts Z by tau and the
   kernel by -2 pi i.  Then only row 0 is built, O(n^2) work:
@@ -134,8 +135,8 @@ class KernelContext:
     coeff_size: np.ndarray = field(repr=False, init=False)
     # "circulant" or "dense": how T is built and applied
     strategy: str = field(init=False)
-    # the one cached operator, built on first use by _cached_operator: W for
-    # the dense strategy, the spectrum of R along x for the circulant one
+    # the one cached operator, built on first use by operator_matrix: W for
+    # the dense strategy, the x-Fourier blocks of T for the circulant one
     _operator: np.ndarray | None = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
@@ -469,54 +470,38 @@ def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
     return rows
 
 
-def _cached_operator(ctx: KernelContext) -> np.ndarray:
-    """The context's one cached operator, built on first use.  Dense: W.
-    Circulant: the spectrum of R, the first n rows of W, those of the
-    targets in the column x = h/2; spectrum[k] is the n x n matrix
+def operator_matrix(ctx: KernelContext) -> np.ndarray:
+    """The matrix of T in the basis the context applies it in, cached on
+    the context, built on first use and read-only.  Dense: W, with
+    T g = (W @ g.ravel()).reshape(n, n).  Circulant: the n blocks of T in
+    the x-Fourier basis, from R, the first n rows of W, those of the
+    targets in the column x = h/2; block k is the n x n matrix
     sum_d R[:, d, :] exp(2 pi i k d / n) that multiplies the k-th
     x-frequency of a density.  When R also follows from its first row
     (constant coefficients), only that row is built."""
     if ctx._operator is None:
         n = ctx.n
         if ctx.strategy == "dense":
-            ctx._operator = _built_rows(ctx, n * n)
+            op = _built_rows(ctx, n * n)
         elif constant_coefficients(ctx.nf):
             # R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], as in
             # the module docstring; the -h^2 is constant along d, so only
-            # the k = 0 spectrum sees it, n times
+            # block 0 sees it, n times
             row0 = np.fft.ifft(_built_rows(ctx, 1).reshape(n, n), axis=0,
                                norm="forward")
             j = np.arange(n)
-            ctx._operator = row0[:, (j[None, :] - j[:, None]) % n]
-            ctx._operator[0] -= n * ctx.h ** 2 * (j[None, :] < j[:, None])
+            op = row0[:, (j[None, :] - j[:, None]) % n]
+            op[0] -= n * ctx.h ** 2 * (j[None, :] < j[:, None])
         else:
             rows = _built_rows(ctx, n).reshape(n, n, n)
             # one target row at a time, in place, so the build holds two
             # n^3 arrays
             for j in range(n):
                 rows[j] = np.fft.ifft(rows[j], axis=0, norm="forward")
-            ctx._operator = np.ascontiguousarray(np.moveaxis(rows, 1, 0))
+            op = np.ascontiguousarray(np.moveaxis(rows, 1, 0))
+        op.flags.writeable = False
+        ctx._operator = op
     return ctx._operator
-
-
-def operator_matrix(ctx: KernelContext) -> np.ndarray:
-    """Dense weight matrix W with T g = (W @ g.ravel()).reshape(n, n).
-    Only available for moderate n.  The dense strategy caches W on the
-    context; the circulant one expands it from its spectrum on each call."""
-    if ctx.n > _MATRIX_MAX_N:
-        raise HypotorusError(
-            f"weight matrix at n={ctx.n} would exceed the memory budget")
-    if ctx.strategy != "circulant":
-        return _cached_operator(ctx)
-    n = ctx.n
-    # R back from its spectrum, contiguous for the rolls below
-    r3 = np.ascontiguousarray(np.moveaxis(np.fft.fft(
-        _cached_operator(ctx), axis=0, norm="forward"), 0, 1))
-    w = np.empty((n * n, n * n), dtype=complex)
-    for i in range(n):
-        # the targets in column i see R shifted by i cells along x
-        w[i * n:(i + 1) * n] = np.roll(r3, i, axis=1).reshape(n, n * n)
-    return w
 
 
 def t_omega(ctx: KernelContext, g: GridFunction) -> GridFunction:
@@ -524,12 +509,12 @@ def t_omega(ctx: KernelContext, g: GridFunction) -> GridFunction:
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     n = ctx.n
+    op = operator_matrix(ctx)
     if ctx.strategy == "circulant":
         gk = np.fft.fft(g.values, axis=0)
-        tk = np.matmul(_cached_operator(ctx), gk[:, :, None])[:, :, 0]
+        tk = np.matmul(op, gk[:, :, None])[:, :, 0]
         return GridFunction(n, np.fft.ifft(tk, axis=0))
-    return GridFunction(
-        n, (operator_matrix(ctx) @ g.values.ravel()).reshape(n, n))
+    return GridFunction(n, (op @ g.values.ravel()).reshape(n, n))
 
 
 # ------------------------------------------------------ point evaluation

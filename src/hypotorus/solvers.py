@@ -23,7 +23,7 @@ from .verify import ResidualReport, apply_l_fd, residual_report
 OFFSET_SAMPLES = 8      # boundary abscissae for the offset constancy
 MEAN_TOL = 1e-8         # relative gate on |mean f| for Lu = f solvability
 RESIDUAL_BOUND = 0.25   # a "yes" needs residual_sup <= this * (1 + sup|rhs|)
-K_MAX = 3               # solve_ab tries windings k = 0, +-1, ..., +-K_MAX
+K_MAX = 3               # solve_ab tries k = 0, then k* +- K_MAX around k*
 DAMPING = 0.5           # Picard step v <- (1-d) v + d P_k v
 MAX_ITER = 200          # Picard steps per winding
 PICARD_TOL = 1e-8       # Picard stops once an update is at most this
@@ -290,55 +290,64 @@ def _k_order(k_max: int):
 
 def solve_ab(ctx: KernelContext, a_fn: GridFunction,
              b_fn: GridFunction) -> SolveReport:
-    """Search windings k = 0, +-1, ..., +-K_MAX for a Picard fixed point
-    (pk_fixed_point) whose boundary offset is the lattice constant
-    2pi i (j - k tau) within the _lattice_tols tolerance; the first hit
-    yields u = exp(2pi i k Z + v).
+    """Search windings k for a Picard fixed point (pk_fixed_point) whose
+    boundary offset is the lattice constant 2pi i (j - k tau) within the
+    _lattice_tols tolerance; the first hit yields u = exp(2pi i k Z + v).
 
-    Candidates are independent, and the verdict merges them in this fixed
-    order, so running them sequentially with early exit gives the same
-    answer as a concurrent sweep.  A "no" only means no winding in range
-    passed with the fixed point found here; that caveat rides in notes.
+    k = 0 goes first.  If its fixed point converged, its offset
+    z0 = delta_0/(2pi i) predicts k* = -round(Im z0 / Im tau), else k* = 0;
+    k*, k*+1, k*-1, ..., k* +- K_MAX follow, less winding 0.  The order is
+    fixed by the data, so a sequential search with early exit gives the
+    answer of a concurrent sweep.  A "no" only means no winding in range
+    passed with the fixed point found here; that caveat rides in notes.  A
+    stalled winding makes the verdict "inconclusive".
     """
     two_pi_i = 2.0j * np.pi
     tau = ctx.tau
     total_iter = 0
     any_unconverged = False
     trail = []
-    for k in _k_order(K_MAX):
+    k_star = 0
+    windings = [0]
+    while windings:
+        k = windings.pop(0)
         state = pk_fixed_point(ctx, a_fn, b_fn, k)
         total_iter += state.iterations
         if not state.converged:
             any_unconverged = True
             trail.append(f"k={k}: no fixed point in {state.iterations} "
                          f"steps (last update {state.delta_sup:.2e})")
-            continue
-        integrand = _pk_integrand(ctx, a_fn, b_fn, k, state.v)
-        delta_k = -mean_integral(integrand)
-        z = delta_k / two_pi_i              # should be j - k*tau
-        tol, tol_note = _lattice_tols(integrand.values, abs(z))
-        k_err = abs(z.imag / tau.imag + k)
-        j_real = z.real + k * tau.real
-        j = round(j_real)
-        trail.append(f"k={k}: delta/(2*pi*i)={z:.6g}, k err {k_err:.2e}, "
-                     f"j err {abs(j_real - j):.2e}")
-        if k_err > tol or abs(j_real - j) > tol:
-            continue
-        u = _similarity_solution(ctx, k, state.v)
-        rhs = GridFunction(ctx.n, a_fn.values * u.values
-                           + b_fn.values * np.conj(u.values))
-        return _certify(
-            ctx, u, rhs, integrand,
-            f"winding k={k} accepted: delta_k/(2*pi*i) = {z:.8g} "
-            f"matches j - k*tau with j={j}; {tol_note}; "
-            f"nu field holds delta_k/(2*pi*i); " + "; ".join(trail),
-            j=int(j), k=k, nu=z, iterations=state.iterations,
-            v=state.v, k_sim=k)
+        else:
+            integrand = _pk_integrand(ctx, a_fn, b_fn, k, state.v)
+            delta_k = -mean_integral(integrand)
+            z = delta_k / two_pi_i          # should be j - k*tau
+            if k == 0:
+                k_star = -round(z.imag / tau.imag)
+            tol, tol_note = _lattice_tols(integrand.values, abs(z))
+            k_err = abs(z.imag / tau.imag + k)
+            j_real = z.real + k * tau.real
+            j = round(j_real)
+            trail.append(f"k={k}: delta/(2*pi*i)={z:.6g}, k err "
+                         f"{k_err:.2e}, j err {abs(j_real - j):.2e}")
+            if k_err <= tol and abs(j_real - j) <= tol:
+                u = _similarity_solution(ctx, k, state.v)
+                rhs = GridFunction(ctx.n, a_fn.values * u.values
+                                   + b_fn.values * np.conj(u.values))
+                return _certify(
+                    ctx, u, rhs, integrand,
+                    f"winding k={k} accepted: delta_k/(2*pi*i) = {z:.8g} "
+                    f"matches j - k*tau with j={j}; {tol_note}; "
+                    f"nu field holds delta_k/(2*pi*i); " + "; ".join(trail),
+                    j=int(j), k=k, nu=z, iterations=state.iterations,
+                    v=state.v, k_sim=k)
+        if k == 0:
+            windings = [k_star + d for d in _k_order(K_MAX)
+                        if k_star + d != 0]
     verdict = "inconclusive" if any_unconverged else "no"
     caveat = ("Picard iteration stalled for some windings"
               if any_unconverged else
-              f"no winding in |k| <= {K_MAX} matched with the fixed "
-              "points found here")
+              f"no winding in |k - {k_star}| <= {K_MAX} matched with the "
+              "fixed points found here")
     return SolveReport(solvable=verdict, iterations=total_iter,
                        notes=caveat + "; " + "; ".join(trail))
 

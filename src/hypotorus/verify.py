@@ -46,33 +46,27 @@ def apply_l_fd(nf: NormalizedField, u: GridFunction) -> GridFunction:
     return GridFunction(n, b * ux - a * uy)
 
 
-def included_columns(nf: NormalizedField, n: int, band: float) -> np.ndarray:
-    """Boolean mask over y-rows at torus distance > band from every
+def included_columns(nf: NormalizedField, n: int) -> np.ndarray:
+    """Boolean mask over y-rows at torus distance > 4/n from every
     declared degenerate ordinate."""
     ys = (np.arange(n) + 0.5) / n
     keep = np.ones(n, dtype=bool)
     for comp in nf.components:
-        keep &= comp.distance(ys) > band
+        keep &= comp.distance(ys) > 4.0 / n
     return keep
 
 
 def residual_report(nf: NormalizedField, lhs: GridFunction,
-                    rhs: GridFunction, band: float | None = None
-                    ) -> ResidualReport:
-    """Norms of lhs - rhs over grid points away from degenerate circles.
-
-    band defaults to 4/n.  The l2 norm carries the cell-area weight, so a
-    unit-size residual field reports l2 close to 1 regardless of n.
+                    rhs: GridFunction) -> ResidualReport:
+    """Norms of lhs - rhs over the grid rows included_columns keeps, away
+    from degenerate circles.  The l2 norm carries the cell-area weight, so
+    a unit-size residual field reports l2 close to 1 regardless of n.
     """
     if lhs.n != rhs.n:
         raise HypotorusError(
             f"grid mismatch in residual: {lhs.n} vs {rhs.n}")
     n = lhs.n
-    if band is None:
-        band = 4.0 / n
-    if band < 0:
-        raise HypotorusError(f"exclusion band must be nonnegative: {band}")
-    keep = included_columns(nf, n, band)
+    keep = included_columns(nf, n)
     r = (lhs.values - rhs.values)[:, keep]
     h2 = 1.0 / (n * n)
     return ResidualReport(

@@ -24,10 +24,10 @@ def nf_perturbed():
     return normalize(build_field("analytic_perturbed"))
 
 
-# Contexts cache their operator in one array: the spectrum of the n
-# circulant rows of an x-invariant field at any n (operator_matrix expands W
-# from it on each call), the dense matrix of an x-dependent one up to
-# n = 80.  The expensive ones are shared across the whole run.
+# Contexts cache their operator in one array, which operator_matrix returns:
+# the x-Fourier blocks of an x-invariant field's operator at any n, the
+# dense matrix of an x-dependent one up to n = 80.  The expensive ones are
+# shared across the whole run.
 
 @pytest.fixture(scope="session")
 def ctx_elliptic_16(nf_elliptic):

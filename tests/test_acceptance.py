@@ -249,7 +249,7 @@ def test_c08_manufactured_degenerate(nf_deg_sin2, nf_deg_2d,
                     (nf_deg_2d, ctx_deg_2d_64)):
         rep = solve_f(ctx, l_of(nf, w_src, 64))
         assert rep.solvable == "yes"
-        keep = included_columns(nf, 64, 4 / 64)
+        keep = included_columns(nf, 64)
         e = (rep.u.values - grid_of(w_src, 64).values)[:, keep]
         e = e - e.mean()
         errs.append(float(np.abs(e).max()))

@@ -209,7 +209,7 @@ def test_weights_do_not_depend_on_row_blocks(name, request):
     # refinement next to the degenerate circles is never cut short, so rows
     # built 32 or all 1024 at a time equal the dense build's 64-row blocks
     ctx = kernel_context(request.getfixturevalue(name), 32)
-    want = operator_matrix(ctx)
+    want = _grid_w(ctx)
     for size in (32, 1024):
         got = np.vstack([kn._operator_rows(ctx, r, r + size)
                          for r in range(0, 1024, size)])
@@ -278,20 +278,22 @@ def test_strategy_follows_the_field(nf_elliptic, nf_deg_sin2, nf_perturbed,
     for n in (16, 32)] + [
     ("degenerate_sin2", 8), ("noz", 8), ("tilted", 8)])
 def test_circulant_matches_stacked_rows(name, n):
-    # the circulant build (one row or n rows, far field by shifts) expanded
-    # to W, and the FFT apply, against all n^2 rows from the row engine as
-    # a field that depends on x builds them, one series sum per far-field
-    # cell; at n=8 the 2 m_max + 1 Laurent terms fold mod n
+    # the circulant build (one row or n rows, far field by shifts) applied
+    # to every grid basis vector, and the FFT apply, against all n^2 rows
+    # from the row engine as a field that depends on x builds them, one
+    # series sum per far-field cell; at n=8 the 2 m_max + 1 Laurent terms
+    # fold mod n
     spec = CIRCULANT_SPECS.get(name) or build_field(name)
     ctx = kernel_context(normalize(spec), n)
     assert ctx.strategy == "circulant"
     want = np.vstack([kn._operator_rows(_as_dense(ctx), r, r + 64)
                       for r in range(0, n * n, 64)])
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(operator_matrix(ctx) - want)) <= 1e-13 * scale
+    w = _grid_w(ctx)
+    assert np.max(np.abs(w - want)) <= 1e-13 * scale
     g = GridFunction.from_callable(
         n, lambda x, y: np.exp(2j * np.pi * (x + 2 * y)) + np.sin(np.pi * y))
-    wg = operator_matrix(ctx) @ g.values.ravel()
+    wg = w @ g.values.ravel()
     got = t_omega(ctx, g).values.ravel()
     assert np.max(np.abs(got - wg)) <= 1e-13 * np.max(np.abs(wg))
 
@@ -299,8 +301,8 @@ def test_circulant_matches_stacked_rows(name, n):
 @pytest.mark.parametrize("n", [16, 32])
 def test_declared_circle_shapes_no_part_of_the_operator(n):
     # the elliptic field with and without a declared circle: the same
-    # circulant spectrum, bit for bit
-    spectra = [kn._cached_operator(kernel_context(normalize(spec), n))
+    # circulant blocks, bit for bit
+    spectra = [operator_matrix(kernel_context(normalize(spec), n))
                for spec in (build_field("elliptic"), ELLIPTIC_CIRCLE)]
     assert np.array_equal(*spectra)
 
@@ -338,6 +340,17 @@ def test_constant_coefficient_field_builds_one_row(name, rows, monkeypatch):
     monkeypatch.setattr(kn, "_operator_rows", counting)
     t_omega(ctx, GridFunction.from_callable(16, lambda x, y: np.sin(x + y)))
     assert built[0] == rows
+
+
+def _grid_w(ctx):
+    # W, n^2 x n^2: a dense context's operator, or a circulant context's
+    # x-Fourier blocks applied to every grid basis vector in one batch
+    op = operator_matrix(ctx)
+    if ctx.strategy == "dense":
+        return op
+    n = ctx.n
+    basis = np.fft.fft(np.eye(n * n).reshape(n, n, n * n), axis=0)
+    return np.fft.ifft(op @ basis, axis=0).reshape(n * n, n * n)
 
 
 def _as_dense(ctx):
@@ -544,15 +557,18 @@ def test_circulant_rows_are_built_once(nf_deg_sin2, monkeypatch):
 
 
 def test_circulant_context_caches_one_array(nf_deg_sin2):
-    # the spectrum is the only cache: W is expanded from it on each call
+    # the x-Fourier blocks are the only cache, and operator_matrix hands
+    # out that array itself, read-only
     n = 16
     ctx = kernel_context(nf_deg_sin2, n)
     t_omega(ctx, GridFunction.from_callable(n, lambda x, y: np.sin(x + y)))
-    w1, w2 = operator_matrix(ctx), operator_matrix(ctx)
+    op1, op2 = operator_matrix(ctx), operator_matrix(ctx)
     cached = [v for v in vars(ctx).values()
               if isinstance(v, np.ndarray) and v.size >= n ** 3]
     assert [a.shape for a in cached] == [(n, n, n)]
-    assert w1 is not w2 and np.array_equal(w1, w2)
+    assert op1 is op2 and op1 is cached[0]
+    with pytest.raises(ValueError):
+        op1[0, 0, 0] = 0.0
 
 
 def test_circulant_build_is_thread_count_invariant(nf_deg_sin2,
@@ -598,9 +614,11 @@ def test_quadtree_squares_centered_point():
 
 
 def test_operator_matrix_guard(nf_elliptic):
+    # a circulant context serves its x-Fourier blocks at every n; only
+    # strategy_for refuses a grid size, and only for a field that depends
+    # on x (test_strategy_follows_the_field)
     ctx = kernel_context(nf_elliptic, 96)
-    with pytest.raises(HypotorusError):
-        operator_matrix(ctx)
+    assert operator_matrix(ctx).shape == (96, 96, 96)
 
 
 def test_grid_mismatch(ctx_elliptic_16):

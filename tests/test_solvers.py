@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,12 +260,16 @@ def test_k_order():
     assert sv._k_order(0) == [0]
 
 
-def test_solve_ab_b_zero_reduces_to_solve_a(ctx_elliptic_16, monkeypatch):
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_solve_ab_b_zero_reduces_to_solve_a(ctx_elliptic_32, monkeypatch,
+                                            k):
+    # the k = 0 offset names the winding, so K_MAX = 1 reaches every k; at
+    # n=16 the FD residual leaves solve_a itself uncertified from k = 4
     monkeypatch.setattr(sv, "K_MAX", 1)
-    ctx = ctx_elliptic_16
-    a_fn = const_grid(16, -TWO_PI_I * ctx.tau)
+    ctx = ctx_elliptic_32
+    a_fn = const_grid(32, -TWO_PI_I * k * ctx.tau)
     rep_a = solve_a(ctx, a_fn)
-    rep_ab = solve_ab(ctx, a_fn, const_grid(16, 0))
+    rep_ab = solve_ab(ctx, a_fn, const_grid(32, 0))
     assert rep_ab.solvable == "yes"
     assert rep_ab.k == -rep_a.k
     assert rep_ab.j == 0
@@ -278,6 +284,19 @@ def test_solve_ab_no_matching_winding(ctx_elliptic_16, monkeypatch):
     assert rep.u is None
     assert "k=0" in rep.notes and "k=-1" in rep.notes
     assert rep.iterations == 3 * 2
+
+
+def test_solve_ab_far_winding_is_inconclusive(ctx_elliptic_16):
+    # the k = 0 offset names k* = -200 and its fixed point lands on the
+    # lattice; exp(2 pi i k Z + v) stays finite, but at n=16 the FD
+    # certificate cannot back a winding this fast, so the verdict is open
+    a_fn = const_grid(16, -TWO_PI_I * 200 * ctx_elliptic_16.tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve_ab(ctx_elliptic_16, a_fn, const_grid(16, 0))
+    assert rep.solvable == "inconclusive"
+    assert rep.k == -200
+    assert "not certified" in rep.notes
 
 
 def test_similarity_check_degenerate(ctx_elliptic_16):

@@ -64,17 +64,15 @@ def test_residual_report_band(nf_deg_sin2):
     lhs = GridFunction(64, np.ones((64, 64), dtype=complex))
     rhs = GridFunction.zeros(64)
     rep = residual_report(nf_deg_sin2, lhs, rhs)
-    # default band 4/64 drops four rows on each side of the circle y=0
+    # the band 4/64 drops four rows on each side of the circle y=0
     assert rep.excluded_fraction == pytest.approx(8 / 64)
     assert rep.sup_norm == 1.0
     # area-weighted l2 of a unit field over the kept columns
     assert rep.l2_norm == pytest.approx(np.sqrt(56 / 64))
-    wide = residual_report(nf_deg_sin2, lhs, rhs, band=0.25)
-    assert wide.excluded_fraction == pytest.approx(0.5)
 
 
 def test_included_columns_mask(nf_deg_sin2):
-    keep = included_columns(nf_deg_sin2, 64, 4 / 64)
+    keep = included_columns(nf_deg_sin2, 64)
     assert not keep[:4].any() and not keep[-4:].any()
     assert keep[4:-4].all()
 
@@ -83,9 +81,6 @@ def test_residual_report_validation(nf_elliptic):
     with pytest.raises(HypotorusError):
         residual_report(nf_elliptic, GridFunction.zeros(16),
                         GridFunction.zeros(32))
-    with pytest.raises(HypotorusError):
-        residual_report(nf_elliptic, GridFunction.zeros(16),
-                        GridFunction.zeros(16), band=-0.1)
     with pytest.raises(HypotorusError):
         ResidualReport(sup_norm=-1.0, l2_norm=0.0, excluded_fraction=0.0,
                        n=16)
