@@ -13,7 +13,7 @@ from .solvers import (FixedPointState, SolveReport, lattice_project,
                       mean_integral, nu_estimates, pk_apply, pk_fixed_point,
                       similarity_check, solve_a, solve_ab, solve_f)
 from .theta import (PoleProximityError, ThetaContext, theta_context,
-                    theta_deriv, theta_eval, theta_log_deriv)
+                    theta_eval, theta_log_deriv)
 from .verify import (ResidualReport, apply_l_fd, convergence_study,
                      residual_report)
 
@@ -30,6 +30,5 @@ __all__ = [
     "normalize", "nu_estimates", "operator_matrix", "periods",
     "pk_apply", "pk_fixed_point", "regularity_from", "residual_report",
     "similarity_check", "solve_a", "solve_ab", "solve_f", "t_omega",
-    "t_omega_point", "theta_context", "theta_deriv", "theta_eval",
-    "theta_log_deriv",
+    "t_omega_point", "theta_context", "theta_eval", "theta_log_deriv",
 ]

@@ -365,8 +365,7 @@ def _cmd_theta_check(args) -> int:
     factor = np.exp(-1j * np.pi * tau - 2j * np.pi * zs)
     dev_ii = float((np.abs(theta_eval(tctx, zs + tau) - factor * th)
                     / np.maximum(np.abs(factor * th), 1e-30)).max())
-    z0 = (1.0 + tau) / 2.0
-    dev_iii = float(abs(theta_eval(tctx, z0)))
+    dev_iii = float(abs(theta_eval(tctx, tctx.zero_point)))
     print(f"period law      max deviation {dev_i:.3e}")
     print(f"tau quasi-law   max rel deviation {dev_ii:.3e}")
     print(f"|theta(z0)|     {dev_iii:.3e}")

@@ -84,8 +84,10 @@ def lattice_reduce(z: complex, tau: complex):
 
 def reduced_lattice_distance(w, tau: complex) -> np.ndarray:
     """Distance from w to the lattice, for w already reduced to lattice
-    coordinates in [-1, 1) (by lattice_reduce, say), with no second
-    reduction: lattice_distance at the real and imaginary parts of w."""
+    coordinates in [-1, 1) with no second reduction: lattice_distance at
+    the real and imaginary parts of w.  theta.pole_offset leaves a kernel
+    argument's offset e from the pole in [-1/2, 1/2), so this is the pole
+    distance of e."""
     w = np.asarray(w)
     return lattice_distance(w.real, w.imag, tau)
 

@@ -40,14 +40,14 @@ s* = p mod 1 has three parts:
   value-subtraction split vanishes identically.
 
 Each far-field and singular-cell kernel argument arg = Z(p) - Z(s) is
-lattice-reduced once, as arg + z0 = w + j + k*tau: theta_log_deriv_raw at
-(w, k) is the kernel value, and the pole distance that decides refinement
-is the distance of w - z0 from the lattice, from its real and imaginary
-parts (_pole_distance).  A refined (target, cell) pair is reduced once, at
-its cell center, to its pole lam = j + k*tau; its squares then carry
-their offset e = arg - lam, whose modulus is the pole distance within
-half the shortest lattice vector, and theta_log_deriv_raw values them at
-(z0 + e, k), by the pole's Laurent series near it.
+reduced once, by theta.pole_offset, to (e, k): e is its offset from the
+nearest kernel pole in lattice coordinates, theta_log_deriv_raw at (e, k)
+is the kernel value, and the pole distance that decides refinement is the
+lattice distance of e.  A refined (target, cell) pair is reduced once, at
+its cell center, to its pole lam; its squares then carry their offset e =
+arg - lam, whose modulus is the pole distance within half the shortest
+lattice vector, and theta_log_deriv_raw values them at (e, k), by the
+pole's Laurent series near it.
 
 One function finishes the row of any target from its Z value and its
 singular cells: a grid target is singular in its own cell at the center, a
@@ -95,11 +95,11 @@ import numpy as np
 
 from . import exprparser as ep
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
-                   lattice_distance, lattice_reduce)
+                   lattice_distance, reduced_lattice_distance)
 from .field import (FieldSpec, NormalizedField, ZEvaluator, char_set_info,
                     constant_coefficients, x_invariant)
-from .theta import (ThetaContext, theta_log_deriv, theta_log_deriv_raw,
-                    theta_log_deriv_shifts)
+from .theta import (ThetaContext, pole_offset, theta_log_deriv,
+                    theta_log_deriv_raw, theta_log_deriv_shifts)
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
@@ -255,21 +255,6 @@ def kernel_m(ctx: KernelContext, p, s) -> complex:
     return theta_log_deriv(ctx.theta, zs - zp + ctx.z0)
 
 
-def _reduce(ctx: KernelContext, arg):
-    """(w, k) with arg + z0 = w + j + k*tau and w in the fundamental cell:
-    the one reduction of a kernel argument arg = Z(p) - Z(s)."""
-    w, _, k = lattice_reduce(arg + ctx.z0, ctx.tau)
-    return w, k
-
-
-def _pole_distance(ctx: KernelContext, w) -> np.ndarray:
-    """Distance of arg from the lattice, for (w, k) = _reduce(ctx, arg):
-    w - z0 is congruent to arg, with lattice coordinates in [-1/2, 1/2),
-    so the distance comes from its real and imaginary parts."""
-    return lattice_distance(w.real - ctx.z0.real, w.imag - ctx.z0.imag,
-                            ctx.tau)
-
-
 def _far_field_by_shifts(ctx: KernelContext, zt: np.ndarray):
     """Far-field kernel values and pole distances, (targets, cells), for a
     circulant context.  There a = 1, so the cells of source row j' lie at
@@ -277,13 +262,13 @@ def _far_field_by_shifts(ctx: KernelContext, zt: np.ndarray):
     reduced once, theta_log_deriv_shifts gives its n values, and the
     distances are its lattice coordinates shifted by d h."""
     n = ctx.n
-    w, k = _reduce(ctx, zt[:, None] - ctx.z_centers[0][None, :])
+    e, k = pole_offset(ctx.theta, zt[:, None] - ctx.z_centers[0][None, :])
     # a target's own cell sits on the pole, where the sum can vanish
     # exactly; _target_rows replaces that value
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = theta_log_deriv_shifts(ctx.theta, w, k, n)
-    x = (w.real - ctx.z0.real)[:, None, :] - (np.arange(n) / n)[:, None]
-    dist = lattice_distance(x, (w.imag - ctx.z0.imag)[:, None, :], ctx.tau)
+        rows = theta_log_deriv_shifts(ctx.theta, e, k, n)
+    x = e.real[:, None, :] - (np.arange(n) / n)[:, None]
+    dist = lattice_distance(x, e.imag[:, None, :], ctx.tau)
     return rows.reshape(len(zt), n * n), dist.reshape(len(zt), n * n)
 
 
@@ -296,12 +281,14 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
     its distance from the pole.  zt[i] is the target's Z value, cols[i] the
     flat source-cell index.
 
-    Each pair is reduced once, at its cell center: Z(p) - Z(center) + z0 =
-    w + lam + z0 with lam = j + k*tau, the pair's pole.  A square s of the
-    pair then carries e = (Z(p) - lam) - Z(s), and its kernel value is
-    theta_log_deriv_raw at (z0 + e, k).  Within |e| < R/2 (R the shortest
-    lattice vector) lam is the nearest lattice point, so the pole distance
-    is |e| exactly; only squares farther out are reduced again for it.
+    Each pair is reduced once, at its cell center, by pole_offset:
+    Z(p) - Z(center) = e + lam with lam = j + k*tau, the pair's pole, so
+    Z(p) - lam = Z(center) + e.  A square s of the pair then carries e =
+    (Z(p) - lam) - Z(s), and its kernel value is theta_log_deriv_raw at
+    (e, k).  Within |e| < R/2 (R the shortest lattice vector) lam is the
+    nearest lattice point, so the pole distance is |e| exactly; only
+    squares farther out are reduced again, to (e', k'), for their distance
+    and their value at (e', k + k').
 
     Every square of a level has the same side.  Each square keeps the index
     of its ordinate in a table of the level's distinct ordinates (about a
@@ -333,24 +320,24 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
             stretch = side * (np.abs(ctx.nf.a(mx, my))
                               + np.abs(ctx.nf.b(mx, my)))
         if level == 0:
-            _, j, k = lattice_reduce(zt - zs + ctx.z0, ctx.tau)
-            zp = zt - (j + k * ctx.tau)  # Z(p) - lam, per pair
+            e, k = pole_offset(ctx.theta, zt - zs)
+            zp = zs + e  # Z(p) - lam, per pair
         e = zp[pair] - zs
         d = np.abs(e)
         beyond = d >= half_radius
         if np.any(beyond):
-            wb, kb = _reduce(ctx, e[beyond])
-            d[beyond] = _pole_distance(ctx, wb)
+            eb, kb = pole_offset(ctx.theta, e[beyond])
+            d[beyond] = reduced_lattice_distance(eb, ctx.tau)
         split = (stretch >= KAPPA * d) & (level < MAX_LEVEL)
         leaf = ~split
         if np.any(leaf):
-            w, kl = e[leaf] + ctx.z0, k[pair[leaf]]
+            el, kl = e[leaf], k[pair[leaf]]
             if np.any(beyond):
-                # e + z0 = wb + j' + k'*tau, so the value is at (wb, k + k')
+                # e = eb + j' + k'*tau, so the value is at (eb, k + k')
                 far, fb = beyond[leaf], leaf[beyond]
-                w[far] = wb[fb]
+                el[far] = eb[fb]
                 kl[far] += kb[fb]
-            vals = theta_log_deriv_raw(ctx.theta, w, kl)
+            vals = theta_log_deriv_raw(ctx.theta, el, kl)
             vals *= side ** 2
             np.add.at(out, pair[leaf], vals)
         if not np.any(split):
@@ -414,12 +401,13 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
     if ctx.strategy == "circulant":
         rows, dist = _far_field_by_shifts(ctx, zt)
     else:
-        w, k = _reduce(ctx, zt[:, None] - ctx.z_centers.ravel()[None, :])
+        e, k = pole_offset(ctx.theta,
+                           zt[:, None] - ctx.z_centers.ravel()[None, :])
         # a target's own cell sits on the pole, where the Laurent series
         # divides by zero; the singular quadtree below replaces that value
         with np.errstate(divide="ignore", invalid="ignore"):
-            rows = theta_log_deriv_raw(ctx.theta, w, k)
-        dist = _pole_distance(ctx, w)
+            rows = theta_log_deriv_raw(ctx.theta, e, k)
+        dist = reduced_lattice_distance(e, ctx.tau)
     groups = {}
     for r, c, ox, oy in sing:
         dist[r, c] = np.inf
@@ -435,7 +423,7 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
         zs = ctx.zeval.at((c[:, None] // n + 0.5 + qx) * h,
                           (c[:, None] % n + 0.5 + qy) * h)
         vals = theta_log_deriv_raw(ctx.theta,
-                                   *_reduce(ctx, zt[r, None] - zs))
+                                   *pole_offset(ctx.theta, zt[r, None] - zs))
         # a per-pair sum, so no target depends on who shares its block
         rows[r, c] = np.sum(vals * (side * side), axis=-1)
     rows *= h * h / (2.0j * np.pi)

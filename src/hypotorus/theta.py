@@ -1,4 +1,4 @@
-"""Third theta function on Z + tau*Z, its derivative and logarithmic derivative.
+"""Third theta function on Z + tau*Z and its logarithmic derivative.
 
 The series used is
 
@@ -17,6 +17,11 @@ Near z0 the logarithmic derivative is the Laurent series of the pole,
 from Theta(z0 + e) = i e^(-i*pi*e - i*pi*tau/4) theta_1(pi*e) and the odd
 theta_1'/theta_1 (Whittaker & Watson, section 21).  It converges for |e|
 below the shortest lattice vector R, the distance to the next zero.
+
+The kernel's values are Theta'/Theta(arg + z0) for arguments arg = Z(p) -
+Z(s), so this module alone knows where the zero is: pole_offset reduces arg
+once to (e, k), e the offset of arg + z0 from the zero in the lattice cell
+around it, and theta_log_deriv_raw and theta_log_deriv_shifts take (e, k).
 """
 
 from __future__ import annotations
@@ -191,17 +196,6 @@ def theta_eval(ctx: ThetaContext, z: complex) -> complex:
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def theta_deriv(ctx: ThetaContext, z: complex) -> complex:
-    """Theta'(z) via the termwise-differentiated series and the exact
-    derivative of the reduction factor."""
-    w, j, k = lattice_reduce(z, ctx.lattice.tau)
-    s0, s1 = _series_pair(ctx, w)
-    factor = np.exp(-1j * math.pi * k * k * ctx.lattice.tau
-                    - 2j * math.pi * k * w)
-    out = factor * (s1 - 2j * math.pi * k * s0)
-    return complex(out) if np.ndim(z) == 0 else out
-
-
 def theta_log_deriv(ctx: ThetaContext, z) -> complex:
     """Theta'(z)/Theta(z).
 
@@ -210,43 +204,51 @@ def theta_log_deriv(ctx: ThetaContext, z) -> complex:
     within 1e-13 of a zero of Theta.
     """
     w, _, k = lattice_reduce(z, ctx.lattice.tau)
-    if np.any(reduced_lattice_distance(w - ctx.zero_point,
-                                       ctx.lattice.tau) < 1e-13):
+    e = w - ctx.zero_point
+    if np.any(reduced_lattice_distance(e, ctx.lattice.tau) < 1e-13):
         raise PoleProximityError("argument within 1e-13 of a theta zero")
-    out = theta_log_deriv_raw(ctx, w, k)
+    out = theta_log_deriv_raw(ctx, e, k)
     return complex(out) if np.ndim(z) == 0 else out
 
 
-def theta_log_deriv_raw(ctx: ThetaContext, w, k) -> np.ndarray:
-    """Theta'/Theta(w) - 2*pi*i*k, the value at w + j + k*tau, for w that
-    lattice_reduce has already put in the fundamental cell, or that lies
-    within R/2 of z0 (R = ctx.pole_radius): then |Im w| <= Im(tau)/2 + R/2
-    stays inside the series' truncation range 2 Im(tau) whenever R <= 3
-    Im(tau), as for every Im(tau) >= 1/3.  w is summed as given, with no
-    second reduction and no pole-distance guard.  Every kernel value of the
-    operator comes from this function, except the far field on a circulant
-    context (theta_log_deriv_shifts).
+def pole_offset(ctx: ThetaContext, arg):
+    """(e, k) with arg = e + j + k*tau and e in lattice coordinates
+    [-1/2, 1/2), so that z0 + e is arg + z0 reduced to the fundamental
+    cell: the one reduction of a kernel argument arg = Z(p) - Z(s).  Its
+    distance from the lattice is reduced_lattice_distance(e, tau)."""
+    w, _, k = lattice_reduce(arg + ctx.zero_point, ctx.lattice.tau)
+    return w - ctx.zero_point, k
 
-    Points with |w - z0| < R/4 take the pole's Laurent series (module
-    docstring), one Horner pass in e^2 with e = w - z0, as many terms as the
-    batch's largest |e| needs; the series quotient there would lose about
-    eps/|e| of relative accuracy to the rounding of Theta near its zero.
-    The Laurent form treats z0 as the zero exactly and is relative-exact.
-    All other points take the theta series.  At w = z0 the value is not
-    finite."""
-    w = np.asarray(w, dtype=complex)
-    e = w - ctx.zero_point
+
+def theta_log_deriv_raw(ctx: ThetaContext, e, k) -> np.ndarray:
+    """Theta'/Theta(z0 + e) - 2*pi*i*k, the kernel value of an argument
+    that pole_offset reduced to (e, k).  e has lattice coordinates in
+    [-1/2, 1/2), or |e| < R/2 (R = ctx.pole_radius): then the series point
+    z0 + e has |Im| <= Im(tau)/2 + R/2, inside the series' truncation range
+    2 Im(tau) whenever R <= 3 Im(tau), as for every Im(tau) >= 1/3.  e is
+    taken as given, with no second reduction and no pole-distance guard.
+    Every kernel value of the operator comes from this function, except
+    the far field on a circulant context (theta_log_deriv_shifts).
+
+    Points with |e| < R/4 take the pole's Laurent series (module
+    docstring), one Horner pass in e^2, as many terms as the batch's
+    largest |e| needs; the series quotient there would lose about eps/|e|
+    of relative accuracy to the rounding of Theta near its zero.  The
+    Laurent form reads e as the offset from the exact zero and is
+    relative-exact.  All other points take the theta series at z0 + e.
+    At e = 0 the value is not finite."""
+    e = np.asarray(e, dtype=complex)
     e2abs = (e * e.conj()).real
     near = e2abs < (ctx.pole_radius / 4.0) ** 2
     if near.all():
         out = _pole_laurent(ctx, e, e2abs)
     elif not near.any():
-        s0, s1 = _series_pair(ctx, w)
+        s0, s1 = _series_pair(ctx, e + ctx.zero_point)
         out = s1 / s0
     else:
-        out = np.empty_like(w)
+        out = np.empty_like(e)
         far = ~near
-        s0, s1 = _series_pair(ctx, w[far])
+        s0, s1 = _series_pair(ctx, e[far] + ctx.zero_point)
         out[far] = s1 / s0
         out[near] = _pole_laurent(ctx, e[near], e2abs[near])
     return out - 2j * math.pi * k
@@ -274,16 +276,18 @@ def _pole_laurent(ctx: ThetaContext, e: np.ndarray,
     return q
 
 
-def theta_log_deriv_shifts(ctx: ThetaContext, w, k, n: int) -> np.ndarray:
-    """theta_log_deriv_raw at w - d/n for d = 0..n-1, along a new axis
-    before the last: out[..., d, :] is the value at w[..., :] - d/n.  All
-    values come from the theta series, the Laurent disc's too.
+def theta_log_deriv_shifts(ctx: ThetaContext, e, k, n: int) -> np.ndarray:
+    """theta_log_deriv_raw at e - d/n for d = 0..n-1, along a new axis
+    before the last: out[..., d, :] is the value at e[..., :] - d/n, for e
+    in lattice coordinates [-1/2, 1/2).  All values come from the theta
+    series at z0 + e - d/n, the Laurent disc's too.
 
     The shifts are real, so k is shared, and the Laurent terms c_m u^m of
-    Theta(w - d/n) carry the factor e^{-2*pi*i*m*d/n}.  Folding the terms
-    mod n turns the n values into one length-n FFT each for Theta and
-    Theta', O(m_max + n log n) per w in place of n series sums."""
-    w = np.asarray(w, dtype=complex)
+    Theta(w - d/n), w = z0 + e, carry the factor exp(-2*pi*i*m*d/n).
+    Folding the terms mod n turns the n values into one length-n FFT each
+    for Theta and Theta', O(m_max + n log n) per e in place of n series
+    sums."""
+    w = np.asarray(e, dtype=complex) + ctx.zero_point
     m = np.arange(-ctx.m_max, ctx.m_max + 1)
     terms = (ctx._laurent[np.abs(m), None]
              * np.exp((2j * math.pi) * w[..., None, :] * m[:, None]))

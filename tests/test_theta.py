@@ -4,9 +4,9 @@ import pytest
 
 from hypotorus.core import HypotorusError, reduced_lattice_distance
 from hypotorus.theta import (PoleProximityError, closed_form_terms,
-                             theta_context, theta_deriv, theta_eval,
-                             theta_log_deriv, theta_log_deriv_raw,
-                             theta_log_deriv_shifts, truncation_terms)
+                             theta_context, theta_eval, theta_log_deriv,
+                             theta_log_deriv_raw, theta_log_deriv_shifts,
+                             truncation_terms)
 
 TAUS = (1j, 0.5j, 0.3 + 0.8j)
 
@@ -39,16 +39,23 @@ def test_theta_frozen_values():
                                rel=1e-13)
 
 
-def mp_log_deriv(w, tau):
+def mp_log_deriv_at_offset(e, tau):
+    # Theta'/Theta at the exact zero (1 + tau)/2 plus the offset e as given
     q = mpmath.exp(1j * mpmath.pi * tau)
-    z = mpmath.pi * mpmath.mpc(complex(w))
+    z = mpmath.pi * ((1 + mpmath.mpc(tau)) / 2 + mpmath.mpc(complex(e)))
     return complex(mpmath.pi * mpmath.jtheta(3, z, q, 1)
                    / mpmath.jtheta(3, z, q))
 
 
+def cell_offsets(rng, tau, size):
+    # offsets from the zero with lattice coordinates in [-1/2, 1/2)
+    return (rng.uniform(-0.5, 0.5, size)
+            + rng.uniform(-0.5, 0.5, size) * tau)
+
+
 def test_log_deriv_matches_mpmath():
-    # 300 uniform points of the fundamental cell and 200 at distance 1e-8
-    # to 1e-1 from the zero z0.  K ~ 1/(w - z0) there, and the rounding of
+    # 300 uniform offsets e of the lattice cell around the zero and 200 at
+    # distance 1e-8 to 1e-1 from it.  K ~ 1/e there, and the rounding of
     # Theta near its zero makes the relative error of K grow like
     # eps / dist, so the bound is |K - K_mp| * dist <= 4e-15 / dist.
     # Measured: 8.3e-16 / dist for the Horner series, 9.1e-16 / dist for
@@ -57,41 +64,46 @@ def test_log_deriv_matches_mpmath():
     with mpmath.workdps(30):
         for tau in TAUS:
             ctx = theta_context(tau)
-            z0 = (1 + tau) / 2
             r = 10.0 ** rng.uniform(-8, -1, 200)
-            w = np.concatenate([
-                rng.uniform(0, 1, 300) + rng.uniform(0, 1, 300) * tau,
-                z0 + r * np.exp(2j * np.pi * rng.uniform(0, 1, 200))])
-            got = theta_log_deriv_raw(ctx, w, 0)
-            want = np.array([mp_log_deriv(v, tau) for v in w])
-            dist = reduced_lattice_distance(w - z0, tau)
+            e = np.concatenate([
+                cell_offsets(rng, tau, 300),
+                r * np.exp(2j * np.pi * rng.uniform(0, 1, 200))])
+            got = theta_log_deriv_raw(ctx, e, 0)
+            want = np.array([mp_log_deriv_at_offset(v, tau) for v in e])
+            dist = reduced_lattice_distance(e, tau)
             assert np.all(np.abs(got - want) * dist <= 4e-15 / dist)
 
 
 def test_log_deriv_inside_laurent_disc_is_relative_exact():
-    # 200 points at 1e-8 <= |w - z0| < R/4, where theta_log_deriv_raw sums
-    # the pole's Laurent series.  The theta series quotient loses about
-    # eps / |w - z0| of relative accuracy there (2.8e-11 at 1e-6).  The
-    # Laurent series takes z0 as the zero exactly, so the reference is the
-    # log-derivative at the exact zero (1 + tau)/2 plus e = w - z0 as the
-    # function forms it.
+    # 200 offsets at 1e-8 <= |e| < R/4, where theta_log_deriv_raw sums the
+    # pole's Laurent series.  The theta series quotient loses about
+    # eps / |e| of relative accuracy there (2.8e-11 at 1e-6).  The Laurent
+    # series reads e as the offset from the exact zero, so the reference
+    # is the log-derivative at the exact zero (1 + tau)/2 plus e.
     rng = np.random.default_rng(11)
     with mpmath.workdps(30):
         for tau in TAUS:
             ctx = theta_context(tau)
-            z0 = ctx.zero_point
             r = np.exp(rng.uniform(np.log(1e-8), np.log(ctx.pole_radius / 4),
                                    200))
-            w = z0 + r * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
-            got = theta_log_deriv_raw(ctx, w, 0)
-            q = mpmath.exp(1j * mpmath.pi * tau)
-            zero = (1 + mpmath.mpc(tau)) / 2
-            want = []
-            for e in w - z0:
-                z = mpmath.pi * (zero + mpmath.mpc(e))
-                want.append(complex(mpmath.pi * mpmath.jtheta(3, z, q, 1)
-                                    / mpmath.jtheta(3, z, q)))
-            want = np.array(want)
+            e = r * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+            got = theta_log_deriv_raw(ctx, e, 0)
+            want = np.array([mp_log_deriv_at_offset(v, tau) for v in e])
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_log_deriv_takes_offsets_finer_than_the_zero_point():
+    # 1e-14 <= |e| <= 1e-8: z0 + e as a float would keep only the bits of
+    # e above the last place of z0 (about 1.1e-16), some 2 to 8 digits, yet
+    # the offset itself is valued to full relative accuracy
+    rng = np.random.default_rng(13)
+    with mpmath.workdps(40):
+        for tau in TAUS:
+            ctx = theta_context(tau)
+            r = 10.0 ** rng.uniform(-14, -8, 100)
+            e = r * np.exp(2j * np.pi * rng.uniform(0, 1, 100))
+            got = theta_log_deriv_raw(ctx, e, 0)
+            want = np.array([mp_log_deriv_at_offset(v, tau) for v in e])
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
@@ -101,14 +113,14 @@ def test_log_deriv_shifts_match_series():
     for tau in TAUS:
         ctx = theta_context(tau)
         assert 2 * ctx.m_max + 1 > 8
-        w = rng.uniform(0, 1, (3, 5)) + rng.uniform(0, 1, (3, 5)) * tau
+        e = cell_offsets(rng, tau, (3, 5))
         k = rng.integers(-2, 3, (3, 5))
         for n in (4, 8, 48):
-            got = theta_log_deriv_shifts(ctx, w, k, n)
-            shifted = w[:, None, :] - np.arange(n)[:, None] / n
+            got = theta_log_deriv_shifts(ctx, e, k, n)
+            shifted = e[:, None, :] - np.arange(n)[:, None] / n
             want = theta_log_deriv_raw(ctx, shifted, k[:, None, :])
             # the same rounding floor near the zero as against mpmath
-            dist = reduced_lattice_distance(shifted - (1 + tau) / 2, tau)
+            dist = reduced_lattice_distance(shifted, tau)
             assert np.all(np.abs(got - want) * dist <= 4e-15 / dist)
 
 
@@ -146,8 +158,6 @@ def test_zero_at_half_sum_of_periods():
         ctx = theta_context(tau)
         z0 = (1 + tau) / 2
         assert abs(theta_eval(ctx, z0)) < 1e-10
-        # simple zero: derivative stays away from zero there
-        assert abs(theta_deriv(ctx, z0)) > 0.1
 
 
 def test_nonvanishing_away_from_zero_lattice():
@@ -160,14 +170,6 @@ def test_nonvanishing_away_from_zero_lattice():
         if abs(z - z0) > 0.05:
             assert abs(theta_eval(ctx, z)) > 0
             count += 1
-
-
-def test_deriv_matches_finite_difference():
-    ctx = theta_context(0.3 + 0.8j)
-    h = 1e-6
-    for z in (0.13 - 0.22j, 0.71 + 0.05j):
-        fd = (theta_eval(ctx, z + h) - theta_eval(ctx, z - h)) / (2 * h)
-        assert theta_deriv(ctx, z) == pytest.approx(fd, rel=1e-8)
 
 
 def test_log_deriv_lattice_shift_is_exact():
@@ -187,7 +189,7 @@ def test_log_deriv_guard_near_pole():
     with pytest.raises(PoleProximityError):
         theta_log_deriv(ctx, z0 + 1e-14)
     # the raw variant is the quadrature workhorse and stays unguarded
-    v = theta_log_deriv_raw(ctx, np.array([z0 + 1e-4]), k=0)
+    v = theta_log_deriv_raw(ctx, np.array([1e-4]), k=0)
     assert np.isfinite(v).all()
 
 
