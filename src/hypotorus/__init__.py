@@ -7,8 +7,8 @@ from .core import (GridFunction, HypotorusError, Lattice, RegularityParams,
 from .field import (BUILTIN_NAMES, FieldSpec, NormalizedField,
                     SigmaComponent, ZEvaluator, build_field, char_set_info,
                     first_integral, normalize, periods)
-from .kernel import (KernelContext, kernel_context, kernel_m, operator_matrix,
-                     t_omega, t_omega_point)
+from .kernel import (KernelContext, kernel_context, operator_matrix, t_omega,
+                     t_omega_point)
 from .solvers import (FixedPointState, SolveReport, lattice_project,
                       mean_integral, nu_estimates, pk_apply, pk_fixed_point,
                       similarity_check, solve_a, solve_ab, solve_f)
@@ -26,7 +26,7 @@ __all__ = [
     "SigmaComponent", "SolveReport", "ThetaContext", "TorusPoint",
     "ZEvaluator", "apply_l_fd", "build_field", "char_set_info",
     "convergence_study", "first_integral", "grid_centers", "kernel_context",
-    "kernel_m", "lattice_project", "lattice_reduce", "mean_integral",
+    "lattice_project", "lattice_reduce", "mean_integral",
     "normalize", "nu_estimates", "operator_matrix", "periods",
     "pk_apply", "pk_fixed_point", "regularity_from", "residual_report",
     "similarity_check", "solve_a", "solve_ab", "solve_f", "t_omega",

@@ -286,12 +286,13 @@ def _write_csv(path: str, u: GridFunction | None, n: int):
         fh.write("x,y,re_u,im_u\n")
         if u is None:
             return
-        # n distinct coordinates, each formatted once
+        # n distinct coordinates, each formatted once; each column x_i is
+        # one template over y, filled from its interleaved re, im parts
         c = ["%.17g" % ((i + 0.5) / n) for i in range(n)]
-        vals = u.values.tolist()
-        fh.write("".join(
-            "%s,%s,%.17g,%.17g\n" % (c[i], c[j], v.real, v.imag)
-            for i in range(n) for j, v in enumerate(vals[i])))
+        tails = [",%s,%%.17g,%%.17g\n" % cj for cj in c]
+        parts = np.ascontiguousarray(u.values, dtype=complex).view(float)
+        fh.write("".join((ci + ci.join(tails)) % tuple(col)
+                         for ci, col in zip(c, parts.tolist())))
 
 
 def _write_report(path: str, report, n: int, wall: float):

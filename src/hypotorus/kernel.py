@@ -13,8 +13,8 @@ point of the universal cover.  Its row for target p with singular point
 s* = p mod 1 has three parts:
 
 * Far field: the kernel at the center of every cell whose closure does not
-  contain s*.  On a circulant context (below) a = 1, so the n cells of one
-  source row lie at x-shifts of exactly h: their n values come from one
+  contain s*.  Unless the context is dense (below) a = 1, so the n cells of
+  one source row lie at x-shifts of exactly h: their n values come from one
   reduction and one length-n FFT of the theta series' Laurent terms
   (theta_log_deriv_shifts), O(m_max + n log n) per (target, source row)
   pair in place of n series sums, for grid rows and point probes alike.
@@ -61,21 +61,28 @@ The context picks how T is built and applied once, from the field
 (strategy_for), and caches one array for it, the matrix of T in the basis
 it is applied in, built on first use (operator_matrix):
 
-* circulant: when neither coefficient depends on x, the closed form has
-  a = 1 and Z = x + phi(y), so the kernel depends on x - x' alone and T
-  commutes with x-translations:
+* convolution: when neither coefficient depends on x or y, Z is linear and
+  the kernel depends on p - s alone, except that a source wrapping across
+  y = 1 shifts Z by tau and the kernel by -2 pi i.  Only row 0, the row of
+  the target (0, 0), is built, O(n^2) work, and T is a 2-D correlation with
+  it plus the jump, which times the row scale h^2 / (2 pi i) is -h^2:
+  T g(i, j) = sum row0[(i' - i) mod n, (j' - j) mod n] g(i', j')
+              - h^2 sum_{j' < j} sum_{i'} g(i', j').
+  The cache is K = conj(fft2(conj(row0))), n^2 values, and an apply is
+  ifft2(K fft2(g)) less h^2 times the exclusive prefix sum along y of g's
+  column sums, O(n^2 log n).
+
+* circulant: otherwise, when neither coefficient depends on x, the closed
+  form has a = 1 and Z = x + phi(y), so the kernel depends on x - x' alone
+  and T commutes with x-translations:
   W[(i, j), (i', j')] = R[j, (i' - i) mod n, j'], where R is the first n
   rows of W.  Only R is built, O(n^3) work and memory, and only its
   spectrum along x is kept: the n blocks of n x n in which T acts on
   the x-frequencies of a density.  An apply is an FFT along x with one
-  block product per x-frequency, at every n.  When neither coefficient
-  depends on y either, Z is linear and the kernel depends on p - s alone,
-  except that a source wrapping across y = 1 shifts Z by tau and the
-  kernel by -2 pi i.  Then only row 0 is built, O(n^2) work:
-  R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], the -h^2 being
-  the -2 pi i jump times the row scale h^2 / (2 pi i).  Either
-  build takes its far field by x-shifts, and the n-row build transforms R
-  along x in place, so the build peaks at two n^3 arrays.
+  block product per x-frequency, at every n.  The build transforms R
+  along x in place, so it peaks at two n^3 arrays.
+
+  Either build takes its far field by x-shifts (a = 1 on both).
 
 * dense: otherwise all n^2 rows of W are built, O(n^4) work, cached, and
   every apply is one matrix product.  W would not fit in memory above
@@ -98,8 +105,8 @@ from .core import (GridFunction, HypotorusError, as_point, grid_centers,
                    lattice_distance, reduced_lattice_distance)
 from .field import (FieldSpec, NormalizedField, ZEvaluator, char_set_info,
                     constant_coefficients, x_invariant)
-from .theta import (ThetaContext, pole_offset, theta_log_deriv,
-                    theta_log_deriv_raw, theta_log_deriv_shifts)
+from .theta import (ThetaContext, pole_offset, theta_log_deriv_raw,
+                    theta_log_deriv_shifts)
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
@@ -133,10 +140,10 @@ class KernelContext:
     zeval: ZEvaluator = field(repr=False, init=False)
     # |a| + |b| at cell centers: the local Z-stretch of a cell
     coeff_size: np.ndarray = field(repr=False, init=False)
-    # "circulant" or "dense": how T is built and applied
+    # "convolution", "circulant" or "dense": how T is built and applied
     strategy: str = field(init=False)
-    # the one cached operator, built on first use by operator_matrix: W for
-    # the dense strategy, the x-Fourier blocks of T for the circulant one
+    # the one cached operator, built on first use by operator_matrix: the
+    # 2-D spectrum of row 0, the x-Fourier blocks of T or W, by strategy
     _operator: np.ndarray | None = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
@@ -224,8 +231,10 @@ def _check_first_integral(nf: NormalizedField, x, y, a, b, size) -> None:
 
 def strategy_for(fld: FieldSpec | NormalizedField, n: int) -> str:
     """How T is built and applied for the field fld at grid size n:
-    "circulant" or "dense".  Raises HypotorusError when neither serves it:
-    a field that depends on x above n = _MATRIX_MAX_N."""
+    "convolution", "circulant" or "dense".  Raises HypotorusError when none
+    serves it: a field that depends on x above n = _MATRIX_MAX_N."""
+    if constant_coefficients(fld):
+        return "convolution"
     if x_invariant(fld):
         return "circulant"
     if n > _MATRIX_MAX_N:
@@ -240,26 +249,11 @@ def kernel_context(nf: NormalizedField, n: int) -> KernelContext:
     return KernelContext(nf, n)
 
 
-# ---------------------------------------------------------------- kernel
-
-def kernel_m(ctx: KernelContext, p, s) -> complex:
-    """Theta log-derivative at Z(s) - Z(p) + z0.
-
-    Shifting s by a lattice vector (j,k) changes the value by exactly
-    -2*pi*i*k; as s approaches p the product with Z(s) - Z(p) tends to 1.
-    Raises PoleProximityError when source and target coincide on the torus.
-    """
-    pp, ss = as_point(p), as_point(s)
-    zp = complex(ctx.zeval.at(pp.x, pp.y))
-    zs = complex(ctx.zeval.at(ss.x, ss.y))
-    return theta_log_deriv(ctx.theta, zs - zp + ctx.z0)
-
-
 def _far_field_by_shifts(ctx: KernelContext, zt: np.ndarray):
     """Far-field kernel values and pole distances, (targets, cells), for a
-    circulant context.  There a = 1, so the cells of source row j' lie at
-    Z(h/2, y_j') + d h, d = 0..n-1: each (target, source row) pair is
-    reduced once, theta_log_deriv_shifts gives its n values, and the
+    context that is not dense.  There a = 1, so the cells of source row j'
+    lie at Z(h/2, y_j') + d h, d = 0..n-1: each (target, source row) pair
+    is reduced once, theta_log_deriv_shifts gives its n values, and the
     distances are its lattice coordinates shifted by d h."""
     n = ctx.n
     e, k = pole_offset(ctx.theta, zt[:, None] - ctx.z_centers[0][None, :])
@@ -294,10 +288,10 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
     of its ordinate in a table of the level's distinct ordinates (about a
     tenth as many near a degenerate circle); a child's table is its
     parent's shifted by a quarter side either way, pruned to the entries
-    that split squares use.  A circulant context evaluates Z and |b| once
-    per ordinate, on that table, and a once per call: neither coefficient
-    depends on x, so a is constant and Z(x, y) = Z(0, y) + a x.  A dense
-    context evaluates them at every square."""
+    that split squares use.  A context that is not dense evaluates Z and
+    |b| once per ordinate, on that table, and a once per call: neither
+    coefficient depends on x, so a is constant and Z(x, y) = Z(0, y) + a x.
+    A dense context evaluates them at every square."""
     n, h = ctx.n, ctx.h
     half_radius = ctx.theta.pole_radius / 2.0
     out = np.zeros(len(cols), dtype=complex)
@@ -306,19 +300,19 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
     ys = (np.arange(n) + 0.5) * h  # the table of ordinates
     row = cols % n                 # each square's index into it
     side = h
-    if ctx.strategy == "circulant":
+    if ctx.strategy != "dense":
         a = complex(ctx.nf.a(0.0, 0.0))
     for level in range(MAX_LEVEL + 1):
-        if ctx.strategy == "circulant":
-            x0 = np.zeros_like(ys)
-            zs = ctx.zeval.at(x0, ys)[row]
-            zs += a * mx
-            stretch = (side * (abs(a) + np.abs(ctx.nf.b(x0, ys))))[row]
-        else:
+        if ctx.strategy == "dense":
             my = ys[row]
             zs = ctx.zeval.at(mx, my)
             stretch = side * (np.abs(ctx.nf.a(mx, my))
                               + np.abs(ctx.nf.b(mx, my)))
+        else:
+            x0 = np.zeros_like(ys)
+            zs = ctx.zeval.at(x0, ys)[row]
+            zs += a * mx
+            stretch = (side * (abs(a) + np.abs(ctx.nf.b(x0, ys))))[row]
         if level == 0:
             e, k = pole_offset(ctx.theta, zt - zs)
             zp = zs + e  # Z(p) - lam, per pair
@@ -395,12 +389,10 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
     refined cell average where flagged; each singular cell holds the kernel
     integrated over its quadtree of REFINE_DEPTH levels, deepest block
     dropped.  The rows come scaled by h^2 / (2 pi i), ready to multiply a
-    grid density.  A circulant context takes the far field by shifts
-    (_far_field_by_shifts), a dense one by a series sum per cell."""
+    grid density.  A dense context takes the far field by a series sum per
+    cell, any other by shifts (_far_field_by_shifts)."""
     n, h = ctx.n, ctx.h
-    if ctx.strategy == "circulant":
-        rows, dist = _far_field_by_shifts(ctx, zt)
-    else:
+    if ctx.strategy == "dense":
         e, k = pole_offset(ctx.theta,
                            zt[:, None] - ctx.z_centers.ravel()[None, :])
         # a target's own cell sits on the pole, where the Laurent series
@@ -408,6 +400,8 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             rows = theta_log_deriv_raw(ctx.theta, e, k)
         dist = reduced_lattice_distance(e, ctx.tau)
+    else:
+        rows, dist = _far_field_by_shifts(ctx, zt)
     groups = {}
     for r, c, ox, oy in sing:
         dist[r, c] = np.inf
@@ -465,21 +459,16 @@ def operator_matrix(ctx: KernelContext) -> np.ndarray:
     the x-Fourier basis, from R, the first n rows of W, those of the
     targets in the column x = h/2; block k is the n x n matrix
     sum_d R[:, d, :] exp(2 pi i k d / n) that multiplies the k-th
-    x-frequency of a density.  When R also follows from its first row
-    (constant coefficients), only that row is built."""
+    x-frequency of a density.  Convolution: the (n, n) array
+    conj(fft2(conj(row0))), from row 0 of W alone, the 2-D spectrum of the
+    correlation in the module docstring."""
     if ctx._operator is None:
         n = ctx.n
         if ctx.strategy == "dense":
             op = _built_rows(ctx, n * n)
-        elif constant_coefficients(ctx.nf):
-            # R[j, d, j'] = row0[d, (j' - j) mod n] - h^2 [j' < j], as in
-            # the module docstring; the -h^2 is constant along d, so only
-            # block 0 sees it, n times
-            row0 = np.fft.ifft(_built_rows(ctx, 1).reshape(n, n), axis=0,
-                               norm="forward")
-            j = np.arange(n)
-            op = row0[:, (j[None, :] - j[:, None]) % n]
-            op[0] -= n * ctx.h ** 2 * (j[None, :] < j[:, None])
+        elif ctx.strategy == "convolution":
+            row0 = _built_rows(ctx, 1).reshape(n, n)
+            op = np.fft.fft2(row0.conj()).conj()
         else:
             rows = _built_rows(ctx, n).reshape(n, n, n)
             # one target row at a time, in place, so the build holds two
@@ -498,6 +487,12 @@ def t_omega(ctx: KernelContext, g: GridFunction) -> GridFunction:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     n = ctx.n
     op = operator_matrix(ctx)
+    if ctx.strategy == "convolution":
+        tg = np.fft.ifft2(op * np.fft.fft2(g.values))
+        # the -h^2 jump of every source in a row below the target's
+        col = g.values.sum(axis=0)
+        tg -= ctx.h ** 2 * (np.cumsum(col) - col)
+        return GridFunction(n, tg)
     if ctx.strategy == "circulant":
         gk = np.fft.fft(g.values, axis=0)
         tk = np.matmul(op, gk[:, :, None])[:, :, 0]

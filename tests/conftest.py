@@ -25,9 +25,10 @@ def nf_perturbed():
 
 
 # Contexts cache their operator in one array, which operator_matrix returns:
-# the x-Fourier blocks of an x-invariant field's operator at any n, the
-# dense matrix of an x-dependent one up to n = 80.  The expensive ones are
-# shared across the whole run.
+# the 2-D spectrum of row 0 for constant coefficients and the x-Fourier
+# blocks of any other x-invariant field's operator, at any n, the dense
+# matrix of an x-dependent one up to n = 80.  The expensive ones are shared
+# across the whole run.
 
 @pytest.fixture(scope="session")
 def ctx_elliptic_16(nf_elliptic):

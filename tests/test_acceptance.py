@@ -15,7 +15,6 @@ from hypotorus import (
     cli,
     first_integral,
     kernel_context,
-    kernel_m,
     mean_integral,
     nu_estimates,
     pk_apply,
@@ -33,6 +32,8 @@ from hypotorus import exprparser as ep
 from hypotorus.core import grid_centers, regularity_from
 from hypotorus.field import build_field, coeff_grid, normalize
 from hypotorus.verify import apply_l_fd, included_columns, residual_report
+
+from helpers import kernel_m
 
 PROBES = ("1", "exp(i*2*pi*x)", "sin(pi*y)^2")
 

@@ -250,6 +250,25 @@ def test_csv_formats_every_value_with_17_digits(tmp_path):
                          for i in range(n) for j in range(n)]
 
 
+@pytest.mark.parametrize("n", [8, 48])
+def test_csv_bytes_equal_per_row_formatting(tmp_path, n):
+    # one template per grid column writes the same bytes as formatting
+    # each row on its own, down to subnormals, huge values and -0.0
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    vals[0, 1] = complex(1e300, -1e-300)
+    vals[1, 0] = complex(-1e-300, 5e-324)
+    vals[2, 5] = complex(-0.0, -5e-324)
+    vals[n - 1, n - 1] = complex(0.0, -0.0)
+    path = tmp_path / "u.csv"
+    cli._write_csv(str(path), GridFunction(n, vals), n)
+    c = ["%.17g" % ((i + 0.5) / n) for i in range(n)]
+    want = "x,y,re_u,im_u\n" + "".join(
+        "%s,%s,%.17g,%.17g\n" % (c[i], c[j], v.real, v.imag)
+        for i in range(n) for j, v in enumerate(vals[i].tolist()))
+    assert path.read_bytes() == want.encode()
+
+
 def test_solve_error_exit(tmp_path, capsys):
     rc = cli.main(["solve", "--config", str(tmp_path / "none.json"),
                    "--out-prefix", str(tmp_path / "x")])

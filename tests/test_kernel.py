@@ -10,7 +10,6 @@ from hypotorus import (
     GridFunction,
     HypotorusError,
     kernel_context,
-    kernel_m,
     operator_matrix,
     t_omega,
     t_omega_point,
@@ -23,6 +22,8 @@ from hypotorus.core import (grid_centers, lattice_reduce,
 from hypotorus.field import (FieldSpec, SigmaComponent, build_field,
                              coeff_grid, normalize, x_invariant)
 from hypotorus.solvers import solve_a
+
+from helpers import kernel_m
 
 # a field depending on x with no z_exact, so Z comes from quadrature
 NO_Z_EXACT = FieldSpec(
@@ -260,12 +261,16 @@ def test_far_field_block_is_reduced_once(nf_perturbed, monkeypatch):
     assert shapes.count((64, 256)) == 4
 
 
-def test_strategy_follows_the_field(nf_elliptic, nf_deg_sin2, nf_perturbed,
-                                    nf_deg_2d):
-    for nf in (nf_elliptic, nf_deg_sin2, normalize(X_INVARIANT_NO_Z)):
+STRATEGIES = {"elliptic": "convolution", "tilted": "convolution",
+              "degenerate_sin2": "circulant", "noz": "circulant"}
+
+
+def test_strategy_follows_the_field(nf_perturbed, nf_deg_2d):
+    for name, strategy in STRATEGIES.items():
+        nf = normalize(CIRCULANT_SPECS.get(name) or build_field(name))
         assert x_invariant(nf) and x_invariant(nf.spec)
         for n in (16, 96):
-            assert kernel_context(nf, n).strategy == "circulant"
+            assert kernel_context(nf, n).strategy == strategy
     for nf in (nf_perturbed, nf_deg_2d, normalize(NO_Z_EXACT)):
         assert not x_invariant(nf) and not x_invariant(nf.spec)
         assert kernel_context(nf, 16).strategy == "dense"
@@ -278,14 +283,14 @@ def test_strategy_follows_the_field(nf_elliptic, nf_deg_sin2, nf_perturbed,
     for n in (16, 32)] + [
     ("degenerate_sin2", 8), ("noz", 8), ("tilted", 8)])
 def test_circulant_matches_stacked_rows(name, n):
-    # the circulant build (one row or n rows, far field by shifts) applied
-    # to every grid basis vector, and the FFT apply, against all n^2 rows
-    # from the row engine as a field that depends on x builds them, one
-    # series sum per far-field cell; at n=8 the 2 m_max + 1 Laurent terms
-    # fold mod n
+    # the convolution or circulant build (one row or n rows, far field by
+    # shifts) applied to every grid basis vector, and the FFT apply,
+    # against all n^2 rows from the row engine as a field that depends on x
+    # builds them, one series sum per far-field cell; at n=8 the
+    # 2 m_max + 1 Laurent terms fold mod n
     spec = CIRCULANT_SPECS.get(name) or build_field(name)
     ctx = kernel_context(normalize(spec), n)
-    assert ctx.strategy == "circulant"
+    assert ctx.strategy == STRATEGIES[name]
     want = np.vstack([kn._operator_rows(_as_dense(ctx), r, r + 64)
                       for r in range(0, n * n, 64)])
     scale = np.max(np.abs(want))
@@ -301,7 +306,7 @@ def test_circulant_matches_stacked_rows(name, n):
 @pytest.mark.parametrize("n", [16, 32])
 def test_declared_circle_shapes_no_part_of_the_operator(n):
     # the elliptic field with and without a declared circle: the same
-    # circulant blocks, bit for bit
+    # cached operator, bit for bit
     spectra = [operator_matrix(kernel_context(normalize(spec), n))
                for spec in (build_field("elliptic"), ELLIPTIC_CIRCLE)]
     assert np.array_equal(*spectra)
@@ -343,12 +348,17 @@ def test_constant_coefficient_field_builds_one_row(name, rows, monkeypatch):
 
 
 def _grid_w(ctx):
-    # W, n^2 x n^2: a dense context's operator, or a circulant context's
-    # x-Fourier blocks applied to every grid basis vector in one batch
+    # W, n^2 x n^2: a dense context's operator, a circulant context's
+    # x-Fourier blocks applied to every grid basis vector in one batch, or
+    # t_omega applied to each grid basis vector on a convolution context
     op = operator_matrix(ctx)
     if ctx.strategy == "dense":
         return op
     n = ctx.n
+    if ctx.strategy == "convolution":
+        return np.column_stack([
+            t_omega(ctx, GridFunction(n, e.reshape(n, n))).values.ravel()
+            for e in np.eye(n * n)])
     basis = np.fft.fft(np.eye(n * n).reshape(n, n, n * n), axis=0)
     return np.fft.ifft(op @ basis, axis=0).reshape(n * n, n * n)
 
@@ -585,6 +595,56 @@ def test_circulant_build_is_thread_count_invariant(nf_deg_sin2,
     assert np.array_equal(runs[0][0], runs[1][0])
 
 
+@pytest.mark.parametrize("name", ["elliptic", "tilted"])
+def test_convolution_apply_matches_direct_sum(name):
+    # T g(i, j) = sum row0[(i' - i) mod n, (j' - j) mod n] g(i', j')
+    #             - h^2 sum_{j' < j} sum_{i'} g(i', j'),
+    # summed directly at 8 targets: O(n^2) each, no FFT and no n^3 array
+    n = 256
+    spec = CIRCULANT_SPECS.get(name) or build_field(name)
+    ctx = kernel_context(normalize(spec), n)
+    rng = np.random.default_rng(23)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    got = t_omega(ctx, GridFunction(n, g)).values
+    row0 = kn._built_rows(ctx, 1).reshape(n, n)
+    below = np.cumsum(g.sum(axis=0)) - g.sum(axis=0)
+    targets = [(0, 0), (0, 255), (255, 0), (17, 200), (128, 128), (201, 3),
+               (90, 250), (255, 255)]
+    want = np.array([np.sum(np.roll(row0, (i, j), axis=(0, 1)) * g)
+                     - below[j] / n ** 2 for i, j in targets])
+    diff = np.array([got[i, j] for i, j in targets]) - want
+    assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_convolution_context_caches_one_array(nf_elliptic):
+    # the 2-D spectrum of row 0, n^2 values, is the only cache, and
+    # operator_matrix hands out that array itself, read-only
+    n = 16
+    ctx = kernel_context(nf_elliptic, n)
+    t_omega(ctx, GridFunction.from_callable(n, lambda x, y: np.sin(x + y)))
+    op1, op2 = operator_matrix(ctx), operator_matrix(ctx)
+    arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    cached = [a for a in arrays if np.iscomplexobj(a)]
+    assert [a.shape for a in cached] == [(n, n)]
+    assert max(a.size for a in arrays) == n * n
+    assert op1 is op2 and op1 is cached[0]
+    with pytest.raises(ValueError):
+        op1[0, 0] = 0.0
+
+
+def test_convolution_build_is_thread_count_invariant(nf_elliptic,
+                                                    monkeypatch):
+    g = GridFunction.from_callable(
+        64, lambda x, y: np.exp(2j * np.pi * (x - y)) + np.sin(np.pi * y))
+    runs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("HYPOTORUS_THREADS", threads)
+        ctx = kernel_context(nf_elliptic, 64)
+        runs.append((t_omega(ctx, g).values, ctx._operator))
+    assert np.array_equal(runs[0][1], runs[1][1])
+    assert np.array_equal(runs[0][0], runs[1][0])
+
+
 def test_lattice_dist(ctx_elliptic_16):
     z = np.array([0j, 1 + 0j, 2 + 3j, (1 + 1j) / 2])
     tau = ctx_elliptic_16.tau
@@ -613,12 +673,14 @@ def test_quadtree_squares_centered_point():
     assert abs(covered - (1.0 - 4 * (1.0 / 2 ** 6) ** 2)) < 1e-14
 
 
-def test_operator_matrix_guard(nf_elliptic):
-    # a circulant context serves its x-Fourier blocks at every n; only
-    # strategy_for refuses a grid size, and only for a field that depends
-    # on x (test_strategy_follows_the_field)
-    ctx = kernel_context(nf_elliptic, 96)
-    assert operator_matrix(ctx).shape == (96, 96, 96)
+def test_operator_matrix_guard(nf_elliptic, nf_deg_sin2):
+    # a convolution context serves the 2-D spectrum of its row 0 and a
+    # circulant one its x-Fourier blocks, at every n; only strategy_for
+    # refuses a grid size, and only for a field that depends on x
+    # (test_strategy_follows_the_field)
+    for nf, shape in ((nf_elliptic, (96, 96)), (nf_deg_sin2, (96, 96, 96))):
+        ctx = kernel_context(nf, 96)
+        assert operator_matrix(ctx).shape == shape
 
 
 def test_grid_mismatch(ctx_elliptic_16):
