@@ -10,7 +10,7 @@ onto C / (Z + tau Z) for the fields treated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -185,6 +185,9 @@ class NormalizedField:
     b_ast: ep.ExprAst
     z_exact_ast: ep.ExprAst | None
     components: tuple[SigmaComponent, ...]
+    # coeff_grid's grids by n: the field's own, so they go with it
+    _grids: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @property
     def tau(self) -> complex:
@@ -260,9 +263,17 @@ def constant_coefficients(fld: FieldSpec | NormalizedField) -> bool:
 
 
 def coeff_grid(nf: NormalizedField, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, y = grid_centers(n)
-    return (np.asarray(nf.a(x, y), dtype=complex),
-            np.asarray(nf.b(x, y), dtype=complex))
+    """(a, b) at the n x n cell centers, x along axis 0: evaluated once per
+    field and n, cached on the field, and read-only."""
+    grids = nf._grids.get(n)
+    if grids is None:
+        x, y = grid_centers(n)
+        grids = (np.asarray(nf.a(x, y), dtype=complex),
+                 np.asarray(nf.b(x, y), dtype=complex))
+        for g in grids:
+            g.flags.writeable = False
+        nf._grids[n] = grids
+    return grids
 
 
 # ---------------------------------------------------------- first integral

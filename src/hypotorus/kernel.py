@@ -93,10 +93,11 @@ it is applied in, built on first use (operator_matrix):
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -104,7 +105,7 @@ from . import exprparser as ep
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
                    lattice_distance, reduced_lattice_distance)
 from .field import (FieldSpec, NormalizedField, ZEvaluator, char_set_info,
-                    constant_coefficients, x_invariant)
+                    coeff_grid, constant_coefficients, x_invariant)
 from .theta import (ThetaContext, pole_offset, theta_log_deriv_raw,
                     theta_log_deriv_shifts)
 
@@ -154,7 +155,7 @@ class KernelContext:
                                  "takes both signs on the torus")
         self.strategy = strategy_for(self.nf, self.n)
         x, y = grid_centers(self.n)
-        a, b = self.nf.a(x, y), self.nf.b(x, y)
+        a, b = coeff_grid(self.nf, self.n)
         self.coeff_size = (np.abs(a) + np.abs(b)).astype(float)
         _check_closed(self.nf, x, y, self.coeff_size.max())
         _check_first_integral(self.nf, x, y, a, b, self.coeff_size.max())
@@ -513,10 +514,9 @@ def _axis_cells(c: float, n: int):
     return [(i % n, f - i - 0.5)]
 
 
-def _point_cells(ctx: KernelContext, x: float, y: float):
-    """Singular pairs (0, cell, ox, oy) of the point row at (x, y): every
-    cell whose closure holds the point mod 1."""
-    n = ctx.n
+def _point_cells(n: int, x: float, y: float):
+    """Singular pairs (0, cell, ox, oy) of the point row at (x, y) on the
+    n x n grid: every cell whose closure holds the point mod 1."""
     return [(0, i * n + j, ox, oy)
             for (i, ox) in _axis_cells(x, n)
             for (j, oy) in _axis_cells(y, n)]
@@ -535,23 +535,51 @@ def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     pp = as_point(p)
     zp = complex(ctx.zeval.at(pp.x, pp.y))
-    row = _target_rows(ctx, np.array([zp]), _point_cells(ctx, pp.x, pp.y))[0]
+    sing = _point_cells(ctx.n, pp.x, pp.y)
+    row = _target_rows(ctx, np.array([zp]), sing)[0]
     return complex(row @ g.values.ravel())
 
 
-def t_omega_y_jump(ctx: KernelContext, g: GridFunction, x: float) -> complex:
+def t_omega_y_jump(ctx: KernelContext, g: GridFunction, x):
     """T g (x, 1) - T g (x, 0), in closed form: no kernel value is needed.
+    x is one abscissa or an array of them; the result has its shape.
 
     t_omega_point builds both rows over the same singular cells, and the
     kernel's lattice index moves by exactly one between them, so every
     cell weight moves by minus the area it integrates over: h^2, less the
     blocks a singular quadtree drops around the probe.  The jump is
-    -mean(g) plus g on each singular cell times its dropped area.
+    -mean(g) plus g on each singular cell times its dropped area, added
+    cell by cell in _point_cells' order.
     """
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
-    jump = -complex(np.mean(g.values))
-    for _, c, ox, oy in _point_cells(ctx, x, 0.0):
-        side = _singular_squares(ox, oy)[2]
-        jump += g.values.flat[c] * ctx.h ** 2 * (1.0 - np.sum(side * side))
-    return jump
+    xs = np.asarray(x, dtype=float)
+    cells, dropped, count = _jump_cells(ctx.n, tuple(xs.ravel().tolist()))
+    terms = (g.values.ravel()[cells] * ctx.h ** 2 * dropped).tolist()
+    start = -complex(np.mean(g.values))
+    # added one at a time: sum() may compensate
+    jump = np.array([reduce(operator.add, row[:c], start)
+                     for row, c in zip(terms, count)], dtype=complex)
+    jump = jump.reshape(xs.shape)
+    return complex(jump) if jump.ndim == 0 else jump
+
+
+@lru_cache(maxsize=64)
+def _jump_cells(n: int, xs: tuple):
+    """The singular cells of the probes (x, 0), x in xs, and the share of
+    each cell that its quadtree drops: a row of four per probe in
+    _point_cells' order, padded after the probe's count of cells, two for
+    a probe inside a column.  Cached, so the arrays come back read-only."""
+    cells = np.zeros((len(xs), 4), dtype=int)
+    dropped = np.zeros((len(xs), 4))
+    count = [0] * len(xs)
+    for i, x in enumerate(xs):
+        pairs = _point_cells(n, x, 0.0)
+        count[i] = len(pairs)
+        for k, (_, c, ox, oy) in enumerate(pairs):
+            side = _singular_squares(ox, oy)[2]
+            cells[i, k] = c
+            dropped[i, k] = 1.0 - np.sum(side * side)
+    for arr in (cells, dropped):
+        arr.flags.writeable = False
+    return cells, dropped, tuple(count)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from hypotorus import HypotorusError, ZEvaluator, build_field, normalize
+from hypotorus import exprparser as ep
+from hypotorus.core import grid_centers
 from hypotorus.field import (
     BUILTIN_NAMES,
     FieldSpec,
     SigmaComponent,
     char_set_info,
+    coeff_grid,
     first_integral,
     integrate_line,
     parse_sigma_hint,
@@ -193,3 +196,31 @@ def test_char_set_info_flags_wrong_declared_rate():
     rep = char_set_info(normalize(spec))
     (comp,) = rep.components
     assert comp.rate_mismatch
+
+
+def test_coeff_grid_is_cached_on_the_field_and_read_only(monkeypatch):
+    spec = build_field("degenerate_sin2")
+    nf = normalize(spec)
+    a, b = coeff_grid(nf, 16)
+    x, y = grid_centers(16)
+    assert np.array_equal(a, nf.a(x, y)) and np.array_equal(b, nf.b(x, y))
+
+    def refuse(ast, x, y):
+        raise AssertionError("a cached grid was evaluated again")
+
+    with monkeypatch.context() as m:
+        m.setattr(ep, "eval_expr", refuse)
+        a2, b2 = coeff_grid(nf, 16)
+    assert a2 is a and b2 is b
+    for g in (a, b):
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 0
+    # the cache is the field's own: another normalization of the spec
+    # equals it and starts empty, and so do its expressions' programs
+    other = normalize(spec)
+    assert other == nf and hash(other) == hash(nf)
+    assert other._grids == {} and other.b_ast._programs == {}
+    a3, _ = coeff_grid(other, 16)
+    assert a3 is not a and np.array_equal(a3, a)
+    assert coeff_grid(nf, 8)[0].shape == (8, 8)

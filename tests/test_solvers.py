@@ -20,7 +20,9 @@ from hypotorus import (
     t_omega,
     t_omega_point,
 )
-from hypotorus.kernel import REFINE_DEPTH, kernel_context, t_omega_y_jump
+from hypotorus import exprparser as ep
+from hypotorus.kernel import (REFINE_DEPTH, kernel_context, operator_matrix,
+                              t_omega_y_jump)
 from hypotorus import solvers as sv
 
 TWO_PI_I = 2.0j * np.pi
@@ -107,6 +109,55 @@ def test_solvers_make_no_point_probe(ctx_elliptic_16, monkeypatch):
     assert solve_f(ctx, f).solvable == "yes"
     assert solve_a(ctx, a_fn).solvable == "yes"
     assert solve_ab(ctx, a_fn, b_fn).solvable == "yes"
+
+
+@pytest.mark.parametrize("nf_name", ["nf_elliptic", "nf_deg_sin2",
+                                     "nf_perturbed"])
+def test_solves_on_a_built_context_evaluate_no_expression(
+        request, nf_name, monkeypatch):
+    # the context holds a and b on its grid (coeff_grid) and the operator;
+    # the residual and the boundary offsets of every solve read them, so
+    # no strategy evaluates an expression once the operator is built
+    ctx = kernel_context(request.getfixturevalue(nf_name), 16)
+    operator_matrix(ctx)
+    calls, eval_expr = [], ep.eval_expr
+
+    def counting(ast, x, y):
+        calls.append(ep.to_string(ast))
+        return eval_expr(ast, x, y)
+
+    monkeypatch.setattr(ep, "eval_expr", counting)
+    f = GridFunction.from_callable(
+        16, lambda x, y: np.exp(TWO_PI_I * (x + y)))
+    a_fn = GridFunction.from_callable(
+        16, lambda x, y: 0.3 * np.sin(2 * np.pi * x))
+    b_fn = GridFunction.from_callable(
+        16, lambda x, y: 0.05 * np.exp(TWO_PI_I * y))
+    for rep in (solve_f(ctx, f), solve_a(ctx, a_fn),
+                solve_ab(ctx, a_fn, b_fn)):
+        assert rep.residual is not None  # the certified path ran
+    assert calls == []
+
+
+@pytest.mark.parametrize("nf_name", ["nf_elliptic", "nf_deg_sin2",
+                                     "nf_perturbed", "nf_deg_2d"])
+def test_y_jump_of_an_array_is_the_jumps_one_at_a_time(request, nf_name):
+    n = 16
+    ctx = kernel_context(request.getfixturevalue(nf_name), n)
+    rng = np.random.default_rng(45)
+    g = GridFunction(n, rng.normal(size=(n, n))
+                     + 1j * rng.normal(size=(n, n)))
+    # cell corners, column interiors and abscissae off [0, 1)
+    xs = np.array([0.0, 0.0625, 0.1234, 0.37, 0.5, 0.99, 1.25, -0.3])
+    one = np.array([t_omega_y_jump(ctx, g, x) for x in xs])
+    got = t_omega_y_jump(ctx, g, xs)
+    assert got.tobytes() == one.tobytes()  # bit for bit
+    assert t_omega_y_jump(ctx, g, xs.reshape(2, 4)).shape == (2, 4)
+    assert isinstance(t_omega_y_jump(ctx, g, 0.37), complex)
+    # _boundary_offsets is the spread of the jumps at its samples
+    samples = (np.arange(sv.OFFSET_SAMPLES) + 0.5) / sv.OFFSET_SAMPLES
+    offs = np.array([t_omega_y_jump(ctx, g, x) for x in samples])
+    assert sv._boundary_offsets(ctx, g) == np.abs(offs - offs.mean()).max()
 
 
 def test_lattice_project():
