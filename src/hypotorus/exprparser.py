@@ -17,9 +17,7 @@ Evaluation is complex-valued and accepts numpy arrays for x and y.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
 from typing import Union
 
 import numpy as np
@@ -49,35 +47,26 @@ class ExprDiffError(ExprError):
     pass
 
 
-class _Node:
-    """Base of the AST nodes.  eval_expr caches a node's compiled programs
-    on it, by kind of input, so they live as long as the node."""
-
-    @cached_property
-    def _programs(self) -> dict:
-        return {}
-
-
 @dataclass(frozen=True)
-class Const(_Node):
+class Const:
     value: complex
     pos: int = 0
 
 
 @dataclass(frozen=True)
-class Var(_Node):
+class Var:
     name: str
     pos: int = 0
 
 
 @dataclass(frozen=True)
-class Neg(_Node):
+class Neg:
     child: "ExprAst"
     pos: int = 0
 
 
 @dataclass(frozen=True)
-class BinOp(_Node):
+class BinOp:
     op: str  # '+', '-', '*', '/'
     left: "ExprAst"
     right: "ExprAst"
@@ -85,14 +74,14 @@ class BinOp(_Node):
 
 
 @dataclass(frozen=True)
-class Pow(_Node):
+class Pow:
     base: "ExprAst"
     exponent: int
     pos: int = 0
 
 
 @dataclass(frozen=True)
-class Call(_Node):
+class Call:
     fn: str
     arg: "ExprAst"
     pos: int = 0
@@ -264,257 +253,55 @@ def eval_expr(ast: ExprAst, x, y):
     sqrt takes the principal branch; abs returns the (real) modulus as a
     complex value.  Division by zero anywhere in the operands raises
     ExprEvalError carrying the offending node's source offset.
-
-    The AST is compiled once per kind of input, real or complex x and y,
-    into a flat program that is cached on it (_Compiler).  The program's
-    values are those of evaluating every node in complex128, up to the
-    sign of a zero.
     """
-    xv, yv = _operand(x), _operand(y)
-    key = (xv.dtype.kind == "c", yv.dtype.kind == "c")
-    prog = ast._programs.get(key)
-    if prog is None:
-        prog = ast._programs[key] = _Compiler(*key).program(ast)
-    out = prog.run(xv, yv)
+    xv = np.asarray(x, dtype=complex)
+    yv = np.asarray(y, dtype=complex)
+    out = _eval(ast, xv, yv)
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return complex(out)
     return out
 
 
-def _operand(v) -> np.ndarray:
-    v = np.asarray(v)
-    return v if v.dtype.kind == "c" else v.astype(float, copy=False)
-
-
-class _Program:
-    """Straight-line code for one AST.  Registers 0 and 1 hold x and y, the
-    others a constant or the value of one step; a step (dst, fn, args,
-    free) stores fn applied to the registers args in the register dst, and
-    then drops the step values in free, which no later step reads."""
-
-    def __init__(self, regs, steps, out, spans):
-        self.regs = regs
-        self.steps = steps
-        self.out = out
-        # whether the result takes the shape of x, of y: a tree walk
-        # broadcasts every constant to both
-        self.spans = spans
-
-    def run(self, xv, yv):
-        regs = list(self.regs)
-        regs[0], regs[1] = xv, yv
-        for dst, fn, args, free in self.steps:
-            regs[dst] = fn(*[regs[i] for i in args])
-            for i in free:
-                regs[i] = None
-        shape = np.broadcast_shapes(
-            *(v.shape for v, spans in zip((xv, yv), self.spans) if spans))
-        out = np.asarray(regs[self.out], dtype=complex)
-        # a constant comes back broadcast, read-only, as from a tree walk
-        return out if out.shape == shape else np.broadcast_to(out, shape)
-
-
-@dataclass(frozen=True)
-class _Val:
-    """A compiled node: its register, or its value when it is constant,
-    and whether it is complex (else float64, standing for a complex value
-    with a zero imaginary part)."""
-
-    reg: int | None
-    value: complex | None
-    cplx: bool
-
-
-def _divide(pos, a, b):
-    if np.any(b == 0):
-        raise ExprEvalError("division by zero", pos)
-    return a / b
-
-
-def _real_divide(pos, a, b):
-    # numpy divides by b + 0i as a times 1.0 / b
-    if np.any(b == 0):
-        raise ExprEvalError("division by zero", pos)
-    return a * (1.0 / b)
-
-
-def _power(pos, n, base):
-    if n < 0 and np.any(base == 0):
-        raise ExprEvalError("zero raised to a negative power", pos)
-    return base ** n
-
-
-def _real_power(pos, n, base):
-    """base ** n for real base and |n| < 100, in numpy's order for a
-    complex base: square and multiply over the bits of |n|, then one
-    division for n < 0."""
-    if n < 0 and np.any(base == 0):
-        raise ExprEvalError("zero raised to a negative power", pos)
-    m, out, p = abs(n), None, base
-    while m:
-        if m & 1:
-            out = p if out is None else out * p
-        m >>= 1
-        if m:
-            p = p * p
-    if out is None:
-        return np.ones_like(base)
-    return 1.0 / out if n < 0 else out
-
-
-def _complex_operand(v):
-    return np.asarray(v, dtype=complex)
-
-
-def _complex_abs(v):
-    return np.abs(v).astype(complex)
-
-
-def _exp_real(v):
-    # numpy's real exp need not round as the real part of its complex exp
-    return np.exp(v, dtype=complex)
-
-
-def _identity(v):
-    return v
-
-
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-# functions of a complex argument, as a tree walk in complex128 applies
-# them; abs there gives the modulus as a complex value
-_COMPLEX_FNS = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-                "abs": _complex_abs, "sqrt": np.sqrt, "conj": np.conj}
-# functions of a real argument: the real part of the above, exactly.  sqrt
-# is absent: its value on the negative axis depends on the sign of the
-# argument's zero imaginary part, so its argument is compiled in complex
-_REAL_FNS = {"sin": np.sin, "cos": np.cos, "exp": _exp_real,
-             "abs": np.abs, "conj": _identity}
-
-
-class _Compiler:
-    """Flattens an AST into a _Program whose values are those of evaluating
-    every node in complex128, as numpy does, up to the sign of a zero.
-
-    A subtree without a variable is folded into one constant, computed in
-    complex128.  Arithmetic on operands whose imaginary parts are zero
-    stays in float64, arranged so that each result is the real part of
-    numpy's complex one: division as a * (1.0 / b) and integer powers by
-    numpy's square and multiply, which numpy uses only for |n| < 100.  exp
-    and every operation with a complex operand run in complex128.
-
-    The sign of a zero imaginary part, which float64 does not keep, decides
-    which side of the cut sqrt and the powers with |n| >= 100 take on the
-    negative axis.  Their operands are therefore compiled in "forced" mode,
-    where every node runs in complex128 as in a tree walk.
-    """
-
-    def __init__(self, x_complex: bool, y_complex: bool):
-        self.complex_var = {"x": x_complex, "y": y_complex}
-        self.regs = [None, None]
-        self.steps = []
-        # the register of each constant and of each step, by value and by
-        # (function, argument registers): a repeated subtree is computed
-        # once
-        self.known = {}
-        self.leaves = set()
-
-    def program(self, ast: ExprAst) -> _Program:
-        out = self._reg(self.val(ast))
-        spans = ((True, True) if "const" in self.leaves
-                 else ("x" in self.leaves, "y" in self.leaves))
-        # each step value is dropped after the last step that reads it, so
-        # a program holds no more arrays at once than a tree walk would
-        last = {i: k for k, (_, _, args) in enumerate(self.steps)
-                for i in args}
-        values = {dst for dst, _, _ in self.steps} - {out}
-        steps = tuple(
-            (dst, fn, args, tuple(i for i in set(args) & values
-                                  if last[i] == k))
-            for k, (dst, fn, args) in enumerate(self.steps))
-        return _Program(self.regs, steps, out, spans)
-
-    def _reg(self, v: _Val) -> int:
-        if v.reg is not None:
-            return v.reg
-        value = v.value if v.cplx else v.value.real
-        key = repr(value)  # tells 0.0 from -0.0
-        if key not in self.known:
-            self.regs.append(value)
-            self.known[key] = len(self.regs) - 1
-        return self.known[key]
-
-    def _const(self, value: complex, forced: bool) -> _Val:
-        return _Val(None, complex(value), forced or value.imag != 0)
-
-    def _step(self, fn, *args: _Val, cplx: bool) -> _Val:
-        key = (fn, tuple(self._reg(a) for a in args))
-        if key not in self.known:
-            self.regs.append(None)
-            self.steps.append((len(self.regs) - 1, *key))
-            self.known[key] = len(self.regs) - 1
-        return _Val(self.known[key], None, cplx)
-
-    def _apply(self, complex_fn, real_fn, *args: _Val, forced: bool,
-               cplx: bool = False) -> _Val:
-        """complex_fn of args, folded when every arg is constant; real_fn
-        instead when no arg is complex, giving a complex result if cplx."""
-        if all(a.reg is None for a in args):
-            try:
-                value = complex(complex_fn(*[
-                    np.broadcast_to(np.asarray(a.value, dtype=complex), (1,))
-                    for a in args])[0])
-            except ExprEvalError:
-                # raised again when the program runs, in evaluation order
-                return self._step(complex_fn, *[self._const(a.value, True)
-                                                for a in args], cplx=True)
-            return self._const(value, forced)
-        if forced or any(a.cplx for a in args) or real_fn is None:
-            return self._step(complex_fn, *args, cplx=True)
-        return self._step(real_fn, *args, cplx=cplx)
-
-    def val(self, node: ExprAst, forced: bool = False) -> _Val:
-        if isinstance(node, Const):
-            self.leaves.add("const")
-            return self._const(node.value, forced)
-        if isinstance(node, Var):
-            self.leaves.add(node.name)
-            v = _Val(0 if node.name == "x" else 1, None,
-                     self.complex_var[node.name])
-            if forced and not v.cplx:
-                return self._step(_complex_operand, v, cplx=True)
-            return v
-        if isinstance(node, Neg):
-            return self._apply(operator.neg, operator.neg,
-                               self.val(node.child, forced), forced=forced)
-        if isinstance(node, BinOp):
-            a = self.val(node.left, forced)
-            b = self.val(node.right, forced)
-            if node.op != "/":
-                op = _OPS[node.op]
-                return self._apply(op, op, a, b, forced=forced)
-            if (a.reg is not None and b.reg is None and b.value != 0
-                    and not (forced or a.cplx or b.cplx)):
-                return self._step(operator.mul, a,
-                                  self._const(1.0 / b.value.real, False),
-                                  cplx=False)
-            return self._apply(partial(_divide, node.pos),
-                               partial(_real_divide, node.pos), a, b,
-                               forced=forced)
-        if isinstance(node, Pow):
-            n = node.exponent
-            base = self.val(node.base, forced or abs(n) >= 100)
-            return self._apply(partial(_power, node.pos, n),
-                               partial(_real_power, node.pos, n), base,
-                               forced=forced)
-        if isinstance(node, Call):
-            arg = self.val(node.arg, forced or node.fn == "sqrt")
-            if (node.fn == "abs" and arg.cplx and arg.reg is not None
-                    and not forced):
-                # a real modulus, also of a complex argument
-                return self._step(np.abs, arg, cplx=False)
-            return self._apply(_COMPLEX_FNS[node.fn], _REAL_FNS.get(node.fn),
-                               arg, forced=forced, cplx=node.fn == "exp")
-        raise HypotorusError(f"unknown AST node {node!r}")
+def _eval(ast, xv, yv):
+    if isinstance(ast, Const):
+        return np.broadcast_to(np.asarray(ast.value, dtype=complex),
+                               np.broadcast_shapes(xv.shape, yv.shape))
+    if isinstance(ast, Var):
+        return xv if ast.name == "x" else yv
+    if isinstance(ast, Neg):
+        return -_eval(ast.child, xv, yv)
+    if isinstance(ast, BinOp):
+        a = _eval(ast.left, xv, yv)
+        b = _eval(ast.right, xv, yv)
+        if ast.op == "+":
+            return a + b
+        if ast.op == "-":
+            return a - b
+        if ast.op == "*":
+            return a * b
+        if np.any(b == 0):
+            raise ExprEvalError("division by zero", ast.pos)
+        return a / b
+    if isinstance(ast, Pow):
+        base = _eval(ast.base, xv, yv)
+        if ast.exponent < 0 and np.any(base == 0):
+            raise ExprEvalError("zero raised to a negative power", ast.pos)
+        return base ** ast.exponent
+    if isinstance(ast, Call):
+        v = _eval(ast.arg, xv, yv)
+        if ast.fn == "sin":
+            return np.sin(v)
+        if ast.fn == "cos":
+            return np.cos(v)
+        if ast.fn == "exp":
+            return np.exp(v)
+        if ast.fn == "abs":
+            return np.abs(v).astype(complex)
+        if ast.fn == "sqrt":
+            return np.sqrt(v)
+        if ast.fn == "conj":
+            return np.conj(v)
+    raise HypotorusError(f"unknown AST node {ast!r}")
 
 
 # ---------------------------------------------------------------- printing

@@ -93,11 +93,10 @@ it is applied in, built on first use (operator_matrix):
 from __future__ import annotations
 
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -540,46 +539,29 @@ def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
     return complex(row @ g.values.ravel())
 
 
-def t_omega_y_jump(ctx: KernelContext, g: GridFunction, x):
+def t_omega_y_jump(ctx: KernelContext, g: GridFunction, x: float) -> complex:
     """T g (x, 1) - T g (x, 0), in closed form: no kernel value is needed.
-    x is one abscissa or an array of them; the result has its shape.
 
     t_omega_point builds both rows over the same singular cells, and the
     kernel's lattice index moves by exactly one between them, so every
     cell weight moves by minus the area it integrates over: h^2, less the
     blocks a singular quadtree drops around the probe.  The jump is
-    -mean(g) plus g on each singular cell times its dropped area, added
-    cell by cell in _point_cells' order.
+    -mean(g) plus g on each singular cell times its dropped area.
     """
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
-    xs = np.asarray(x, dtype=float)
-    cells, dropped, count = _jump_cells(ctx.n, tuple(xs.ravel().tolist()))
-    terms = (g.values.ravel()[cells] * ctx.h ** 2 * dropped).tolist()
-    start = -complex(np.mean(g.values))
-    # added one at a time: sum() may compensate
-    jump = np.array([reduce(operator.add, row[:c], start)
-                     for row, c in zip(terms, count)], dtype=complex)
-    jump = jump.reshape(xs.shape)
-    return complex(jump) if jump.ndim == 0 else jump
+    jump = -complex(np.mean(g.values))
+    for c, dropped in _jump_cells(ctx.n, x):
+        jump += g.values.flat[c] * ctx.h ** 2 * dropped
+    return jump
 
 
-@lru_cache(maxsize=64)
-def _jump_cells(n: int, xs: tuple):
-    """The singular cells of the probes (x, 0), x in xs, and the share of
-    each cell that its quadtree drops: a row of four per probe in
-    _point_cells' order, padded after the probe's count of cells, two for
-    a probe inside a column.  Cached, so the arrays come back read-only."""
-    cells = np.zeros((len(xs), 4), dtype=int)
-    dropped = np.zeros((len(xs), 4))
-    count = [0] * len(xs)
-    for i, x in enumerate(xs):
-        pairs = _point_cells(n, x, 0.0)
-        count[i] = len(pairs)
-        for k, (_, c, ox, oy) in enumerate(pairs):
-            side = _singular_squares(ox, oy)[2]
-            cells[i, k] = c
-            dropped[i, k] = 1.0 - np.sum(side * side)
-    for arr in (cells, dropped):
-        arr.flags.writeable = False
-    return cells, dropped, tuple(count)
+@lru_cache(maxsize=256)
+def _jump_cells(n: int, x: float):
+    """(cell, share of the cell its quadtree drops) for each singular cell
+    of the probe (x, 0), in _point_cells' order."""
+    cells = []
+    for _, c, ox, oy in _point_cells(n, x, 0.0):
+        side = _singular_squares(ox, oy)[2]
+        cells.append((c, 1.0 - np.sum(side * side)))
+    return tuple(cells)

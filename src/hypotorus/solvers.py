@@ -78,15 +78,15 @@ def mean_integral(g: GridFunction) -> complex:
 def _boundary_offsets(ctx: KernelContext, g: GridFunction) -> float:
     """Spread of T g (x, 1) - T g (x, 0) over OFFSET_SAMPLES abscissae.
 
-    The offsets come in closed form from one t_omega_y_jump call: -mean(g)
-    plus g on each probe's singular cells times the area their quadtrees
-    drop around it, which is what two t_omega_point probes give, since the
+    Each offset comes in closed form from t_omega_y_jump: -mean(g) plus g
+    on the probe's singular cells times the area their quadtrees drop
+    around it, which is what two t_omega_point probes give, since the
     kernel's lattice index moves by exactly one between them.  The spread
     follows how much g varies over the dropped blocks; it does not measure
     quadrature error.
     """
     xs = (np.arange(OFFSET_SAMPLES) + 0.5) / OFFSET_SAMPLES
-    offs = t_omega_y_jump(ctx, g, xs)
+    offs = np.array([t_omega_y_jump(ctx, g, x) for x in xs])
     return float(np.abs(offs - offs.mean()).max())
 
 

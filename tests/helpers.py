@@ -1,20 +1,8 @@
 """Functions that only tests call, kept out of the package's API."""
 
-import numpy as np
-
 from hypotorus.core import as_point
-from hypotorus.exprparser import (BinOp, Call, Const, ExprEvalError, Neg,
-                                  Pow, Var)
-from hypotorus.field import FieldSpec, SigmaComponent
 from hypotorus.kernel import KernelContext
 from hypotorus.theta import theta_log_deriv
-
-# a field depending on x with no z_exact, so Z comes from quadrature: the
-# field of the benchmark's cold-custom-noz-a workload
-NO_Z_EXACT = FieldSpec(
-    "custom", "1 + 0.1*pi*cos(2*pi*x)*sin(pi*y)^2",
-    "0.1*pi*sin(2*pi*x)*sin(pi*y)*cos(pi*y) + i*sin(pi*y)^2", None,
-    (SigmaComponent(2.0, 0.0, "y=0"),))
 
 
 def kernel_m(ctx: KernelContext, p, s) -> complex:
@@ -28,48 +16,3 @@ def kernel_m(ctx: KernelContext, p, s) -> complex:
     zp = complex(ctx.zeval.at(pp.x, pp.y))
     zs = complex(ctx.zeval.at(ss.x, ss.y))
     return theta_log_deriv(ctx.theta, zs - zp + ctx.z0)
-
-
-def tree_walk(ast, x, y):
-    """The reference evaluator eval_expr's compiled programs must agree
-    with: every node of the AST evaluated in complex128, constants
-    broadcast to the shape of x and y."""
-    xv = np.asarray(x, dtype=complex)
-    yv = np.asarray(y, dtype=complex)
-    out = _walk(ast, xv, yv)
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return complex(out)
-    return out
-
-
-def _walk(ast, xv, yv):
-    if isinstance(ast, Const):
-        return np.broadcast_to(np.asarray(ast.value, dtype=complex),
-                               np.broadcast_shapes(xv.shape, yv.shape))
-    if isinstance(ast, Var):
-        return xv if ast.name == "x" else yv
-    if isinstance(ast, Neg):
-        return -_walk(ast.child, xv, yv)
-    if isinstance(ast, BinOp):
-        a = _walk(ast.left, xv, yv)
-        b = _walk(ast.right, xv, yv)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if np.any(b == 0):
-            raise ExprEvalError("division by zero", ast.pos)
-        return a / b
-    if isinstance(ast, Pow):
-        base = _walk(ast.base, xv, yv)
-        if ast.exponent < 0 and np.any(base == 0):
-            raise ExprEvalError("zero raised to a negative power", ast.pos)
-        return base ** ast.exponent
-    if isinstance(ast, Call):
-        v = _walk(ast.arg, xv, yv)
-        if ast.fn == "abs":
-            return np.abs(v).astype(complex)
-        return getattr(np, ast.fn)(v)
-    raise TypeError(f"unknown AST node {ast!r}")

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from hypotorus import exprparser as ep
-from hypotorus.core import grid_centers
-from hypotorus.field import BUILTIN_NAMES, build_field, normalize
-
-from helpers import NO_Z_EXACT, tree_walk
+from hypotorus.field import build_field
 
 ORACLE_SOURCES = (
     "0.2*sin(2*pi*x)*cos(2*pi*y)",
@@ -143,130 +140,3 @@ def test_vectorized_eval_matches_scalar():
     vec = ep.eval_expr(ast, xs, ys)
     for idx in range(7):
         assert vec[idx] == pytest.approx(ep.eval_expr(ast, xs[idx], ys[idx]))
-
-
-# ------------------------------------------- compiled programs vs tree walk
-
-# right-hand sides of the CLI's operator-check probes, the CI configs and
-# the benchmark workloads, with the benchmark's phases at typical values
-RHS_SOURCES = (
-    "1", "exp(i*2*pi*x)", "sin(pi*y)^2", "exp(i*2*pi*(x+y))",
-    "0.15*cos(2*pi*x)*sin(2*pi*y)", "0.1*exp(i*2*pi*y)",
-    "0.2*sin(2*pi*(x+0.051))*cos(2*pi*(y+0.027))",
-    "0.15*cos(2*pi*(x+0.051))*sin(2*pi*y)",
-    "0.1*sin(2*pi*(x+0.051))*cos(2*pi*y)",
-)
-
-
-def assert_walks_alike(ast, x, y):
-    """eval_expr gives the tree walk's values, shape and type; only the
-    sign of a zero may differ."""
-    want = tree_walk(ast, x, y)
-    got = ep.eval_expr(ast, x, y)
-    assert type(got) is type(want)
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(got, want, equal_nan=True), ep.to_string(ast)
-
-
-def field_asts():
-    """a, b and z_exact of each builtin and of the noz field, as specified
-    and normalized, with their derivatives in x and y."""
-    asts = []
-    for spec in (*(build_field(name) for name in BUILTIN_NAMES),
-                 NO_Z_EXACT):
-        nf = normalize(spec)
-        asts += [spec.a_ast, spec.b_ast, nf.a_ast, nf.b_ast]
-        if spec.z_exact_src:
-            asts += [spec.z_exact_ast, nf.z_exact_ast]
-    return asts + [ep.symbolic_diff(ast, v) for ast in asts for v in "xy"]
-
-
-def sample_points():
-    """The n = 16 grid, random points off the unit square and a complex
-    pair: eval_expr compiles a program per kind of input."""
-    x, y = grid_centers(16)
-    rng = np.random.default_rng(31)
-    u, v = rng.uniform(-1.5, 1.5, (2, 40))
-    return [(x, y), (u, v), (x + 0.3j * y, y - 0.2j * x)]
-
-
-def test_compiled_fields_match_the_tree_walk():
-    for ast in field_asts():
-        for x, y in sample_points():
-            assert_walks_alike(ast, x, y)
-
-
-def test_compiled_right_hand_sides_match_the_tree_walk():
-    for src in (*RHS_SOURCES, *ORACLE_SOURCES):
-        ast = ep.parse_expr(src)
-        for tree in (ast, ep.symbolic_diff(ast, "x"),
-                     ep.symbolic_diff(ast, "y")):
-            for x, y in sample_points():
-                assert_walks_alike(tree, x, y)
-
-
-@pytest.mark.parametrize("n", [*range(-3, 14), 99, -99, 100, -100, 101,
-                               -101])
-def test_compiled_integer_powers_match_the_tree_walk(n):
-    # numpy multiplies out |n| < 100 and calls cpow beyond; bases of both
-    # signs, real and complex, and a constant one
-    for base in ("(2*x-1)", "(x+i*y)", "(1.5-3*x*y)", "(0-0.9)"):
-        ast = ep.parse_expr(f"{base}^{n}" if n >= 0 else f"{base}^-{-n}")
-        for x, y in sample_points()[:2]:
-            assert_walks_alike(ast, x, y)
-
-
-@pytest.mark.parametrize("src", [
-    # sqrt of negative values takes the side of the cut that the sign of
-    # the zero imaginary part picks: -x has -0, 0-x has +0
-    "sqrt(x-0.5)", "sqrt(-x)", "sqrt(0-x)", "sqrt(x*(y-0.5))",
-    "sqrt(conj(x-0.5))", "sqrt(-x^2)", "(0-x-1)^101",
-    "abs(x-0.5)", "abs(x+i*y)", "conj(x-0.5)", "conj(i*x)",
-    "exp(x)", "exp(-x*y)", "exp(x)*sin(y)/(1+x^2)",
-    "x", "-y", "x^0", "x^1", "2^-3", "(1+i)*(2-3*i)/7", "x/i",
-    "3/(x-0.55)", "(x+i)/(y-i)", "sqrt(2)*x", "cos(abs(x-y))",
-])
-def test_compiled_special_cases_match_the_tree_walk(src):
-    ast = ep.parse_expr(src)
-    for x, y in sample_points():
-        assert_walks_alike(ast, x, y)
-
-
-def test_compiled_scalars_match_the_tree_walk():
-    # 0-d inputs give a Python complex; mixed 0-d and array inputs an array
-    x, y = grid_centers(8)
-    for ast in field_asts()[:12]:
-        for args in ((0.37, 0.61), (np.float64(0.1), -2), (1.5 + 0.25j, 0.3),
-                     (0.37, y), (x[:, :1], y[:1, :])):
-            assert_walks_alike(ast, *args)
-
-
-@pytest.mark.parametrize("src", ["x/(y-y)", "(x-x)^-2", "1/(x-x) + 1/0",
-                                 "1/0 + (y-y)^-1", "x + (y-y)^-3*2",
-                                 "(1/0)^0*x", "sqrt(1/(x-x))"])
-def test_compiled_errors_match_the_tree_walk(src):
-    # the first failing node in evaluation order raises, with its message
-    # and source offset, also when it is a constant
-    ast = ep.parse_expr(src)
-    for x, y in ((0.3, 0.4), grid_centers(4)):
-        with pytest.raises(ep.ExprEvalError) as want:
-            tree_walk(ast, x, y)
-        with pytest.raises(ep.ExprEvalError) as got:
-            ep.eval_expr(ast, x, y)
-        assert str(got.value) == str(want.value)
-        assert got.value.offset == want.value.offset
-
-
-def test_programs_are_compiled_once_per_ast():
-    ast = ep.parse_expr("sin(pi*y)*cos(pi*y) + x*sin(pi*y)^2")
-    x, y = grid_centers(4)
-    ep.eval_expr(ast, x, y)
-    programs = dict(ast._programs)
-    ep.eval_expr(ast, x + 1, y)
-    assert ast._programs == programs and len(programs) == 1
-    # pi*y and sin(pi*y) are computed once: seven steps, not ten
-    (prog,) = programs.values()
-    assert len(prog.steps) == 7
-    # a complex input compiles a second program
-    ep.eval_expr(ast, x + 0j, y)
-    assert len(ast._programs) == 2

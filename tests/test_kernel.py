@@ -23,7 +23,13 @@ from hypotorus.field import (FieldSpec, SigmaComponent, build_field,
                              coeff_grid, normalize, x_invariant)
 from hypotorus.solvers import solve_a
 
-from helpers import NO_Z_EXACT, kernel_m
+from helpers import kernel_m
+
+# a field depending on x with no z_exact, so Z comes from quadrature
+NO_Z_EXACT = FieldSpec(
+    "custom", "1 + 0.1*pi*cos(2*pi*x)*sin(pi*y)^2",
+    "0.1*pi*sin(2*pi*x)*sin(pi*y)*cos(pi*y) + i*sin(pi*y)^2", None,
+    (SigmaComponent(2.0, 0.0, "y=0"),))
 
 # a field constant in x with no z_exact: the circulant strategy on the
 # quadrature Z path

@@ -23,6 +23,7 @@ from hypotorus import (
 from hypotorus import exprparser as ep
 from hypotorus.kernel import (REFINE_DEPTH, kernel_context, operator_matrix,
                               t_omega_y_jump)
+from hypotorus import kernel as kn
 from hypotorus import solvers as sv
 
 TWO_PI_I = 2.0j * np.pi
@@ -141,23 +142,32 @@ def test_solves_on_a_built_context_evaluate_no_expression(
 
 @pytest.mark.parametrize("nf_name", ["nf_elliptic", "nf_deg_sin2",
                                      "nf_perturbed", "nf_deg_2d"])
-def test_y_jump_of_an_array_is_the_jumps_one_at_a_time(request, nf_name):
+def test_y_jump_reads_its_cells_from_the_cache(request, nf_name):
     n = 16
     ctx = kernel_context(request.getfixturevalue(nf_name), n)
     rng = np.random.default_rng(45)
-    g = GridFunction(n, rng.normal(size=(n, n))
-                     + 1j * rng.normal(size=(n, n)))
-    # cell corners, column interiors and abscissae off [0, 1)
-    xs = np.array([0.0, 0.0625, 0.1234, 0.37, 0.5, 0.99, 1.25, -0.3])
-    one = np.array([t_omega_y_jump(ctx, g, x) for x in xs])
-    got = t_omega_y_jump(ctx, g, xs)
-    assert got.tobytes() == one.tobytes()  # bit for bit
-    assert t_omega_y_jump(ctx, g, xs.reshape(2, 4)).shape == (2, 4)
-    assert isinstance(t_omega_y_jump(ctx, g, 0.37), complex)
-    # _boundary_offsets is the spread of the jumps at its samples
-    samples = (np.arange(sv.OFFSET_SAMPLES) + 0.5) / sv.OFFSET_SAMPLES
-    offs = np.array([t_omega_y_jump(ctx, g, x) for x in samples])
-    assert sv._boundary_offsets(ctx, g) == np.abs(offs - offs.mean()).max()
+    # cell corners, column interiors and abscissae off [0, 1), each against
+    # the closed form summed over _point_cells and _singular_squares
+    for x in (0.0, 0.0625, 0.1234, 0.37, 0.5, 0.99, 1.25, -0.3):
+        sing = [c for _, c, _, _ in kn._point_cells(n, x, 0.0)]
+        # terms of magnitudes 1e-2 to 1e2 and a mean of order one, so the
+        # sum depends on the order of its additions: g on the singular
+        # cells is 1 / (h^2 times the dropped share), 2^20, times the term
+        vals = np.zeros(n * n, dtype=complex)
+        vals[sing] = 2.0 ** 20 * ((rng.normal(size=len(sing))
+                                   + 1j * rng.normal(size=len(sing)))
+                                  * 10.0 ** rng.uniform(-2, 2, len(sing)))
+        other = next(c for c in range(n * n) if c not in sing)
+        vals[other] = -vals.sum() + n * n * (rng.normal() + 1j)
+        g = GridFunction(n, vals.reshape(n, n))
+        want = -complex(np.mean(g.values))
+        for _, c, ox, oy in kn._point_cells(n, x, 0.0):
+            side = kn._singular_squares(ox, oy)[2]
+            dropped = 1.0 - np.sum(side * side)
+            want += g.values.flat[c] * ctx.h ** 2 * dropped
+        for _ in range(2):  # filling the cache, then reading it
+            got = t_omega_y_jump(ctx, g, x)
+            assert complex(got) == complex(want)  # bit for bit
 
 
 def test_lattice_project():
