@@ -119,17 +119,17 @@ def _field_from_config(obj, path) -> FieldSpec:
                 or not 0 < sv < math.inf):
             raise ConfigError(f"{ipath}/sigma_i",
                               f"expected a positive finite number, got {sv!r}")
-        hint = item.get("hint", "")
+        if "hint" not in item:
+            raise ConfigError(f"{ipath}/hint", "required")
+        hint = item["hint"]
         if not isinstance(hint, str):
             raise ConfigError(f"{ipath}/hint", "expected a string")
         y0 = parse_sigma_hint(hint)
-        # a hint naming an ordinate must give one; any other is a label
-        if hint.replace(" ", "").startswith("y=") and (
-                y0 is None or not math.isfinite(y0)):
+        # a circle is declared at an ordinate; a label alone shapes nothing
+        if y0 is None or not math.isfinite(y0):
             raise ConfigError(f"{ipath}/hint",
                               f"expected y=<finite number>, got {hint!r}")
-        comps.append(SigmaComponent(sigma=float(sv), y0=y0,
-                                    label=hint or f"component {idx}"))
+        comps.append(SigmaComponent(sigma=float(sv), y0=y0, label=hint))
     return FieldSpec(name="custom", a_src=a_src, b_src=b_src,
                      z_exact_src=z_src, components=tuple(comps))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,23 +27,19 @@ PROBE_N = 128             # char_set_info samples Im(a*conj(b)) on this grid
 
 @dataclass(frozen=True)
 class SigmaComponent:
-    """One declared degenerate circle with its vanishing order.  The
-    ordinate y0 is reduced into [0, 1) here, once, for every caller."""
+    """One declared degenerate circle y = y0 with its vanishing order.  The
+    ordinate is reduced into [0, 1) here, once, for every caller."""
 
     sigma: float
-    y0: float | None
+    y0: float
     label: str
 
     def __post_init__(self):
-        if self.y0 is not None:
-            # a tiny negative y0 rounds to 1.0 under % 1.0
-            object.__setattr__(self, "y0", float(self.y0) % 1.0 % 1.0)
+        # a tiny negative y0 rounds to 1.0 under % 1.0
+        object.__setattr__(self, "y0", float(self.y0) % 1.0 % 1.0)
 
     def distance(self, y) -> np.ndarray:
-        """Torus distance from the ordinates y to this circle: inf for a
-        component declared by label alone."""
-        if self.y0 is None:
-            return np.full(np.shape(y), np.inf)
+        """Torus distance from the ordinates y to this circle."""
         return np.abs((np.asarray(y, dtype=float) - self.y0 + 0.5) % 1.0
                       - 0.5)
 
@@ -56,22 +52,23 @@ class FieldSpec:
     z_exact_src: str | None
     components: tuple[SigmaComponent, ...]
 
-    @property
+    # each source is parsed on first use and kept on the spec
+    @cached_property
     def a_ast(self):
         return ep.parse_expr(self.a_src)
 
-    @property
+    @cached_property
     def b_ast(self):
         return ep.parse_expr(self.b_src)
 
-    @property
+    @cached_property
     def z_exact_ast(self):
         return ep.parse_expr(self.z_exact_src) if self.z_exact_src else None
 
 
 def parse_sigma_hint(hint: str) -> float | None:
-    """Hints of the form 'y=0.25' give the circle's ordinate; anything else
-    is kept as an opaque label."""
+    """The ordinate a hint of the form 'y=0.25' gives; None for any other
+    hint."""
     h = hint.replace(" ", "")
     if h.startswith("y="):
         try:
@@ -200,13 +197,13 @@ class NormalizedField:
         return ep.eval_expr(self.b_ast, x, y)
 
     def sigma_ordinates(self):
-        return tuple(c.y0 for c in self.components if c.y0 is not None)
+        return tuple(c.y0 for c in self.components)
 
 
 def periods(spec: FieldSpec) -> tuple[complex, complex]:
     """(c1, c2) = (integral of a dx along y=0, integral of b dy along x=0)."""
     a_ast, b_ast = spec.a_ast, spec.b_ast
-    ords = tuple(c.y0 for c in spec.components if c.y0 is not None)
+    ords = tuple(c.y0 for c in spec.components)
     c1 = integrate_line(lambda t: ep.eval_expr(a_ast, t, np.zeros_like(t)),
                         0.0, 1.0)
     c2 = integrate_line(lambda t: ep.eval_expr(b_ast, np.zeros_like(t), t),
@@ -234,8 +231,7 @@ def normalize(spec: FieldSpec) -> NormalizedField:
     components = spec.components
     if flip:
         components = tuple(
-            SigmaComponent(c.sigma, None if c.y0 is None else -c.y0,
-                           f"{c.label} (reflected)")
+            SigmaComponent(c.sigma, -c.y0, f"{c.label} (reflected)")
             for c in components)
     return NormalizedField(
         spec, c1, c2, flip, Lattice(complex(tau)),
@@ -415,9 +411,6 @@ def char_set_info(nf: NormalizedField) -> CharReport:
     comps = []
     xs = (np.arange(8) + 0.5) / 8
     for c in nf.components:
-        if c.y0 is None:
-            comps.append(ComponentReport(c.label, c.sigma, None, False))
-            continue
         ds = 2.0 ** -(np.arange(8) + 3)
         vals = []
         for d in ds:

@@ -53,9 +53,13 @@ One function finishes the row of any target from its Z value and its
 singular cells: a grid target is singular in its own cell at the center, a
 point probe in the one to four cells whose closure holds it.  Rows are built
 in blocks of _ROW_BLOCK targets, refinement and singular cells included; a
-block bounds memory only, so W does not depend on it.  Between the point
-rows at (x, 0) and (x, 1) only the kernel's lattice index moves, so their
-difference has a closed form that needs no kernel value (t_omega_y_jump).
+block bounds memory only, so W does not depend on it.  A build runs its
+blocks on one thread per CPU the process may use (its CPU affinity), at
+most one per block, and each block fills its own rows, so W does not
+depend on the thread count either; nothing else sets it.  Between the
+point rows at (x, 0) and (x, 1) only the kernel's lattice index moves, so
+their difference has a closed form that needs no kernel value
+(t_omega_y_jump).
 
 The context picks how T is built and applied once, from the field
 (strategy_for), and caches one array for it, the matrix of T in the basis
@@ -113,22 +117,6 @@ MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
 REFINE_DEPTH = 6    # singular-cell quadtree depth, for every target
 _MATRIX_MAX_N = 80  # above this the n^4 weight matrix would not fit in RAM
 _ROW_BLOCK = 64     # target rows per block; bounds memory, never a value
-
-
-def thread_count() -> int:
-    raw = os.environ.get("HYPOTORUS_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise HypotorusError(
-            f"HYPOTORUS_THREADS must be a positive integer, got {raw!r}"
-        ) from exc
-    if v < 1:
-        raise HypotorusError(
-            f"HYPOTORUS_THREADS must be a positive integer, got {raw!r}")
-    return v
 
 
 @dataclass
@@ -432,9 +420,11 @@ def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
 
 
 def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
-    """Rows [0, total) of W, built in blocks of _ROW_BLOCK rows on
-    thread_count() threads.  The context is complete when it is made, so
-    the threads only read shared state."""
+    """Rows [0, total) of W, built in blocks of _ROW_BLOCK rows, on one
+    worker per block up to the CPUs the process may run on; a one-block
+    build runs inline.  The context is complete when it is made, so the
+    workers only read shared state, and every block lands in its own
+    rows, so W does not depend on the worker count."""
     rows = np.empty((total, ctx.n * ctx.n), dtype=complex)
 
     def fill(block):
@@ -443,11 +433,15 @@ def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
 
     blocks = [(r, min(r + _ROW_BLOCK, total))
               for r in range(0, total, _ROW_BLOCK)]
-    threads = thread_count()
-    if threads == 1:
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(blocks))
+    if workers == 1:
         list(map(fill, blocks))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, blocks))
     return rows
 

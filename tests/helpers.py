@@ -1,5 +1,7 @@
 """Functions that only tests call, kept out of the package's API."""
 
+import os
+
 from hypotorus.core import as_point
 from hypotorus.kernel import KernelContext
 from hypotorus.theta import theta_log_deriv
@@ -16,3 +18,10 @@ def kernel_m(ctx: KernelContext, p, s) -> complex:
     zp = complex(ctx.zeval.at(pp.x, pp.y))
     zs = complex(ctx.zeval.at(ss.x, ss.y))
     return theta_log_deriv(ctx.theta, zs - zp + ctx.z0)
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    """Make the process look as if its CPU affinity held count CPUs, which
+    sets how many threads an operator build runs its row blocks on."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)

@@ -33,7 +33,7 @@ from hypotorus.core import grid_centers, regularity_from
 from hypotorus.field import build_field, coeff_grid, normalize
 from hypotorus.verify import apply_l_fd, included_columns, residual_report
 
-from helpers import kernel_m
+from helpers import kernel_m, use_cpus
 
 PROBES = ("1", "exp(i*2*pi*x)", "sin(pi*y)^2")
 
@@ -390,8 +390,8 @@ def test_c13_determinism(tmp_path, monkeypatch):
         "rhs": {"manufactured_w": "0.15*cos(2*pi*x)*sin(2*pi*y)",
                 "B": "0.1*exp(i*2*pi*y)"}}))
 
-    def run(tag, threads):
-        monkeypatch.setenv("HYPOTORUS_THREADS", threads)
+    def run(tag, cpus):
+        use_cpus(monkeypatch, cpus)
         prefix = str(tmp_path / tag)
         rc = cli.main(["solve", "--config", str(cfg),
                        "--out-prefix", prefix])
@@ -400,10 +400,10 @@ def test_c13_determinism(tmp_path, monkeypatch):
         report.pop("wall_time_s")
         return report, (tmp_path / f"{tag}.u.csv").read_bytes()
 
-    rep1, csv1 = run("t1", "1")
-    rep2, csv2 = run("t2", "2")
+    rep1, csv1 = run("t1", 1)
+    rep2, csv2 = run("t2", 2)
     ok = rep1 == rep2 and csv1 == csv2
     print(f"criterion 13 determinism: {verdict(ok)} "
-          f"(thread counts 1 and 2: report fields identical "
+          f"(1 and 2 CPUs: report fields identical "
           f"{rep1 == rep2}, CSV bytes identical {csv1 == csv2})")
     assert ok

@@ -6,6 +6,8 @@ import pytest
 from hypotorus import (GridFunction, HypotorusError, cli, kernel_context,
                        solve_f, solvers)
 
+from helpers import use_cpus
+
 REPORT_KEYS = ["solvable", "j", "k", "nu_re", "nu_im", "residual_sup",
                "residual_l2", "iterations", "offset_constancy", "min_abs_u",
                "grid_n", "wall_time_s", "notes"]
@@ -77,6 +79,12 @@ def test_load_config_defaults(tmp_path):
     *(({"field": {"a": "1", "b": "i*sin(pi*y)^2",
                   "sigma": [{"sigma_i": sv, "hint": "y=0"}]}},
        "/field/sigma/0/sigma_i") for sv in (float("nan"), float("inf"))),
+    # a circle is declared at an ordinate: no hint, or a label, is refused
+    ({"field": {"a": "1", "b": "i*sin(pi*y)^2",
+                "sigma": [{"sigma_i": 2}]}}, "/field/sigma/0/hint"),
+    ({"field": {"a": "1", "b": "i*sin(pi*y)^2",
+                "sigma": [{"sigma_i": 2, "hint": "equator"}]}},
+     "/field/sigma/0/hint"),
 ])
 def test_load_config_pointers(tmp_path, patch, pointer):
     base = {"field": {"builtin": "elliptic"}, "equation": "f",
@@ -410,8 +418,8 @@ def test_theta_check_refuses_nonpositive_samples(capsys):
 def test_outputs_identical_across_thread_counts(tmp_path, monkeypatch):
     cfg = elliptic_f_cfg(tmp_path)
 
-    def run(tag, threads):
-        monkeypatch.setenv("HYPOTORUS_THREADS", threads)
+    def run(tag, cpus):
+        use_cpus(monkeypatch, cpus)
         prefix = str(tmp_path / tag)
         assert cli.main(["solve", "--config", cfg,
                          "--out-prefix", prefix]) == 0
@@ -419,8 +427,8 @@ def test_outputs_identical_across_thread_counts(tmp_path, monkeypatch):
         report.pop("wall_time_s")
         return (tmp_path / f"{tag}.u.csv").read_bytes(), report
 
-    csv1, rep1 = run("t1", "1")
-    csv2, rep2 = run("t2", "2")
+    csv1, rep1 = run("t1", 1)
+    csv2, rep2 = run("t2", 2)
     assert csv1 == csv2
     assert rep1 == rep2
 

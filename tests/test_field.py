@@ -35,6 +35,22 @@ def test_parse_sigma_hint():
     assert parse_sigma_hint("y=??") is None
 
 
+def test_spec_parses_each_source_once(monkeypatch):
+    parsed, parse = [], ep.parse_expr
+
+    def counting(src):
+        parsed.append(src)
+        return parse(src)
+
+    monkeypatch.setattr(ep, "parse_expr", counting)
+    spec = FieldSpec("custom", "1", "i*sin(pi*y)^2",
+                     "x + i*(y/2 - sin(2*pi*y)/(4*pi))", ())
+    for name in ("a_ast", "b_ast", "z_exact_ast"):
+        first = getattr(spec, name)
+        assert getattr(spec, name) is first
+    assert parsed == [spec.a_src, spec.b_src, spec.z_exact_src]
+
+
 def test_integrate_line_basic():
     assert abs(integrate_line(lambda t: t ** 2, 0.0, 1.0) - 1 / 3) < 1e-12
     assert abs(integrate_line(lambda t: np.sin(2 * np.pi * t), 0, 1)) < 1e-12

@@ -23,7 +23,7 @@ from hypotorus.field import (FieldSpec, SigmaComponent, build_field,
                              coeff_grid, normalize, x_invariant)
 from hypotorus.solvers import solve_a
 
-from helpers import kernel_m
+from helpers import kernel_m, use_cpus
 
 # a field depending on x with no z_exact, so Z comes from quadrature
 NO_Z_EXACT = FieldSpec(
@@ -44,13 +44,8 @@ TILTED_NO_Z = FieldSpec("custom", "1", "0.3+0.8*i", None, ())
 ELLIPTIC_CIRCLE = FieldSpec("elliptic", "1", "i", "x + i*y",
                             (SigmaComponent(2.0, 0.3, "y=0.3"),))
 
-# elliptic with a component declared by label alone: the one-row build
-ELLIPTIC_LABEL = FieldSpec("elliptic", "1", "i", "x + i*y",
-                           (SigmaComponent(2.0, None, "a label"),))
-
 CIRCULANT_SPECS = {"noz": X_INVARIANT_NO_Z, "tilted": TILTED_NO_Z,
-                   "elliptic_circle": ELLIPTIC_CIRCLE,
-                   "elliptic_label": ELLIPTIC_LABEL}
+                   "elliptic_circle": ELLIPTIC_CIRCLE}
 
 # d a / d y = 0.2 pi cos(2 pi y) but d b / d x = 0.2 pi cos(2 pi x): the form
 # is not closed, and it depends on x, so only the closedness rule sees it
@@ -77,19 +72,6 @@ def test_ring_offsets_geometry():
             for (ox, oy) in arr:
                 assert np.any((np.abs(ox + arr[:, 0]) < 1e-15)
                               & (np.abs(oy + arr[:, 1]) < 1e-15))
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("HYPOTORUS_THREADS", raising=False)
-    assert kn.thread_count() == 1
-    monkeypatch.setenv("HYPOTORUS_THREADS", "3")
-    assert kn.thread_count() == 3
-    monkeypatch.setenv("HYPOTORUS_THREADS", "0")
-    with pytest.raises(HypotorusError):
-        kn.thread_count()
-    monkeypatch.setenv("HYPOTORUS_THREADS", "two")
-    with pytest.raises(HypotorusError):
-        kn.thread_count()
 
 
 def test_context_validation(nf_elliptic):
@@ -198,11 +180,30 @@ def test_threaded_run_is_deterministic(nf_perturbed, nf_deg_2d,
     # n=16 is four 64-row blocks, so four threads really share the dense
     # build; degenerate_2d puts refined rows next to its circle into it
     for nf in (nf_perturbed, nf_deg_2d):
-        monkeypatch.setenv("HYPOTORUS_THREADS", "1")
+        use_cpus(monkeypatch, 1)
         one = operator_matrix(kernel_context(nf, 16))
-        monkeypatch.setenv("HYPOTORUS_THREADS", "4")
+        use_cpus(monkeypatch, 4)
         four = operator_matrix(kernel_context(nf, 16))
         assert np.array_equal(one, four)
+
+
+def test_build_threads_follow_cpus_and_blocks(nf_perturbed, nf_elliptic,
+                                              monkeypatch):
+    # a build runs one thread per CPU the process may use, at most one per
+    # row block, and a one-block build runs without a pool
+    pools = []
+
+    class Recording(kn.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(kn, "ThreadPoolExecutor", Recording)
+    use_cpus(monkeypatch, 3)
+    operator_matrix(kernel_context(nf_perturbed, 16))  # 256 rows, 4 blocks
+    assert pools == [3]
+    operator_matrix(kernel_context(nf_elliptic, 16))   # one row
+    assert pools == [3]
 
 
 @pytest.mark.parametrize("name", ["nf_deg_sin2", "nf_deg_2d"])
@@ -231,18 +232,18 @@ def test_threaded_build_counts_expression_points_once(nf_perturbed,
             count[0] += np.broadcast(np.asarray(x), np.asarray(y)).size
         return eval_expr(ast, x, y)
 
-    def points_in_build(threads):
+    def points_in_build(cpus):
         ctx = kernel_context(nf_perturbed, 48)
-        monkeypatch.setenv("HYPOTORUS_THREADS", threads)
+        use_cpus(monkeypatch, cpus)
         count[0] = 0
         operator_matrix(ctx)
         return count[0]
 
     monkeypatch.setattr(ep, "eval_expr", counting)
-    want = points_in_build("1")
+    want = points_in_build(1)
     assert want > 0
     for _ in range(3):
-        assert points_in_build("2") == want
+        assert points_in_build(2) == want
 
 
 def test_far_field_block_is_reduced_once(nf_perturbed, monkeypatch):
@@ -256,7 +257,7 @@ def test_far_field_block_is_reduced_once(nf_perturbed, monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("hypotorus") and hasattr(mod, "lattice_reduce"):
             monkeypatch.setattr(mod, "lattice_reduce", recording)
-    monkeypatch.setenv("HYPOTORUS_THREADS", "1")
+    use_cpus(monkeypatch, 1)
     operator_matrix(kernel_context(nf_perturbed, 16))
     assert shapes.count((64, 256)) == 4
 
@@ -328,8 +329,8 @@ def test_circulant_point_probe_matches_series(name):
 
 
 @pytest.mark.parametrize("name, rows", [
-    ("elliptic", 1), ("tilted", 1), ("elliptic_label", 1),
-    ("elliptic_circle", 1), ("degenerate_sin2", 16)])
+    ("elliptic", 1), ("tilted", 1), ("elliptic_circle", 1),
+    ("degenerate_sin2", 16)])
 def test_constant_coefficient_field_builds_one_row(name, rows, monkeypatch):
     # T commutes with y-shifts too when neither coefficient depends on x or
     # y: row 0 gives all of R
@@ -448,7 +449,7 @@ def test_refinement_leaves_are_pinned(nf_deg_sin2, monkeypatch):
 
     monkeypatch.setattr(kn, "theta_log_deriv_raw", counting)
     monkeypatch.setattr(kn, "_refined_cell_integrals", marking)
-    monkeypatch.setenv("HYPOTORUS_THREADS", "1")
+    use_cpus(monkeypatch, 1)
     t_omega(kernel_context(nf_deg_sin2, 32), GridFunction.zeros(32))
     assert count[0] == 166916
 
@@ -477,7 +478,7 @@ def test_refinement_reduces_each_pair_once(nf_deg_sin2, monkeypatch):
         if name.startswith("hypotorus") and hasattr(mod, "lattice_reduce"):
             monkeypatch.setattr(mod, "lattice_reduce", recording)
     monkeypatch.setattr(kn, "_refined_cell_integrals", marking)
-    monkeypatch.setenv("HYPOTORUS_THREADS", "1")
+    use_cpus(monkeypatch, 1)
     ctx = kernel_context(nf_deg_sin2, 32)
     t_omega(ctx, GridFunction.zeros(32))
     assert calls
@@ -583,12 +584,12 @@ def test_circulant_context_caches_one_array(nf_deg_sin2):
 
 def test_circulant_build_is_thread_count_invariant(nf_deg_sin2,
                                                   monkeypatch):
-    # n=128 is 128 rows, two row blocks, so four threads share the build
+    # n=128 is 128 rows, two row blocks, so two of four CPUs share the build
     g = GridFunction.from_callable(
         128, lambda x, y: np.exp(2j * np.pi * (x - y)))
     runs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("HYPOTORUS_THREADS", threads)
+    for cpus in (1, 4):
+        use_cpus(monkeypatch, cpus)
         ctx = kernel_context(nf_deg_sin2, 128)
         runs.append((t_omega(ctx, g).values, ctx._operator))
     assert np.array_equal(runs[0][1], runs[1][1])
@@ -637,8 +638,8 @@ def test_convolution_build_is_thread_count_invariant(nf_elliptic,
     g = GridFunction.from_callable(
         64, lambda x, y: np.exp(2j * np.pi * (x - y)) + np.sin(np.pi * y))
     runs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("HYPOTORUS_THREADS", threads)
+    for cpus in (1, 4):
+        use_cpus(monkeypatch, cpus)
         ctx = kernel_context(nf_elliptic, 64)
         runs.append((t_omega(ctx, g).values, ctx._operator))
     assert np.array_equal(runs[0][1], runs[1][1])
