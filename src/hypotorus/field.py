@@ -182,7 +182,9 @@ class NormalizedField:
     b_ast: ep.ExprAst
     z_exact_ast: ep.ExprAst | None
     components: tuple[SigmaComponent, ...]
-    # coeff_grid's grids by n: the field's own, so they go with it
+    # arrays computed once per grid size, the field's own, so they go with
+    # it: coeff_grid's (a, b) under n, verify.included_columns' row mask
+    # under ("included_columns", n)
     _grids: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
@@ -395,8 +397,11 @@ class CharReport:
 def char_set_info(nf: NormalizedField) -> CharReport:
     """Sample Im(a*conj(b)) on the PROBE_N grid, fit vanishing rates at
     declared circles, and confirm the sign never flips (ellipticity away
-    from the circles)."""
+    from the circles).  When neither coefficient depends on x, one column
+    of the grid holds every value the grid would."""
     x, y = grid_centers(PROBE_N)
+    if x_invariant(nf):
+        x, y = x[:1], y[:1]
     im = np.asarray((nf.a(x, y) * np.conj(nf.b(x, y))).imag, dtype=float)
     pos = float(im.max())
     neg = float(im.min())

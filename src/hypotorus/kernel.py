@@ -2,23 +2,71 @@
 
 The kernel pairs a target point p with a source point s through the
 logarithmic derivative of the theta function evaluated at a difference of
-first-integral values, shifted by the theta zero z0.  Integrating the
-transposed kernel against a density over the fundamental square gives an
-operator T that inverts the vector field L = b d/dx - a d/dy on doubly
+first-integral values, shifted by the theta zero z0: K(Z(p) - Z(s)) with
+K(w) = Theta'/Theta(w + z0).  Integrating it against a density over the
+fundamental square, T g(p) = (1/2 pi i) int K(Z(p) - Z(s)) g(s) ds, gives
+an operator that inverts the vector field L = b d/dx - a d/dy on doubly
 periodic data and shifts by exact lattice constants under deck
-transformations.
+transformations: period 1 in x, and -mean(g) per unit step in y.
 
-One row engine serves every target, whether a grid center or an arbitrary
-point of the universal cover.  Its row for target p with singular point
-s* = p mod 1 has three parts:
+The context picks how T is built and applied once, from the field
+(strategy_for), and caches one array for it, the matrix of T in the basis
+it is applied in, built on first use (operator_matrix).
+
+Closed form (when neither coefficient depends on x).  Normalization makes
+a = 1 there, so Z = x + phi(y), phi(y) = Z(0, y).  With a fixed
+orientation Im phi increases, so Z(p) - Z(s) lies between the kernel's pole
+lines, above the real axis for a source below the target and below it for a
+source above, and K's Fourier series along x (theta.kernel_x_fourier, C_k
+above and below) splits T into one operator per x-frequency k:
+
+    T_k g(y) = (1/2 pi i) int C_k^(+-) e^(2 pi i k (phi(y) - phi(s))) g_k ds,
+
+with g_k = g_k(s), C^+ for s < y and C^- for s > y.  Since C^-_k =
+C^+_k q_k, q_k = exp(2 pi i k tau), and phi(s - 1) = phi(s) - tau, T_k
+for k > 0 is C^+_k / 2 pi i times the integral over the window (y - 1, y],
+and for k < 0 C^-_k / 2 pi i times the integral over [y, y + 1); there
+every exponential has modulus at most 1.  T_0 g(y) = -int_0^y g_0, which
+carries T's -mean(g) jump.  No kernel value, refinement or quadtree is
+needed:
+
+* along x, g is interpolated trigonometrically: g_k is the FFT of the grid
+  rows, and the Nyquist frequency of an even n is split evenly between
+  +n/2 and -n/2;
+* along y, g is constant on each cell and phi is sampled at the 2n + 1
+  half-cell nodes and taken as linear between them, so every half-cell
+  weight is an exact exponential integral, (exp(z) - 1) / z times its
+  length.  The target's own cell splits at the target's ordinate.
+
+The rows of a grid column follow from one window row each way by a
+recurrence: moving the target up one cell multiplies every weight of T_k,
+k > 0, by the exponential of the two half-cells passed and adds their
+weights; k < 0 runs downward.  Two strategies cache what this gives:
+
+* circulant: the n x-Fourier blocks of n x n, block k acting on the k-th
+  x-frequency of a density; an apply is an FFT along x and one block
+  product per frequency, O(n^3) values cached.
+
+* convolution: when neither coefficient depends on y either, phi is linear
+  and each block with k != 0 is circulant in y; so is T_0 less its jump,
+  the -h/2 self-cell term.  The cache is the n^2 spectrum, the FFT along y
+  of each block's y-circulant column, and an apply is
+  ifft2(K fft2(g)) less h^2 times the exclusive prefix sum along y of g's
+  column sums, O(n^2 log n).
+
+A point probe (t_omega_point) takes the same closed form at any ordinate,
+from its window row, interpolates trigonometrically along x, and applies
+T's laws off the unit square exactly; so a probe at a cell centre is the
+grid value, and the y-jump (t_omega_y_jump) is exactly -mean(g).
+
+Dense (a field that depends on x): the row engine builds all n^2 rows of W,
+O(n^4) work, caches the matrix and applies it by one product.  W would not
+fit in memory above n = _MATRIX_MAX_N, so strategy_for refuses such a field
+there before any kernel value is computed.  The row for target p with
+singular point s* = p mod 1 has three parts:
 
 * Far field: the kernel at the center of every cell whose closure does not
-  contain s*.  Unless the context is dense (below) a = 1, so the n cells of
-  one source row lie at x-shifts of exactly h: their n values come from one
-  reduction and one length-n FFT of the theta series' Laurent terms
-  (theta_log_deriv_shifts), O(m_max + n log n) per (target, source row)
-  pair in place of n series sums, for grid rows and point probes alike.
-  A dense context sums the series at every cell.
+  contain s*, one series sum per cell.
 
 * Refined cells: a cell is refined adaptively whenever its image under the
   first integral is large relative to its distance from the kernel pole:
@@ -28,8 +76,6 @@ s* = p mod 1 has three parts:
   first integral compresses distances so strongly that the pole is felt at
   points far from s* in grid metric (the near-circle mirror of the target,
   for instance).  The refined cell average replaces the midpoint sample.
-  When neither coefficient depends on x, Z and |a|+|b| are evaluated once
-  per distinct ordinate of a level's squares, not once per square.
 
 * Singular quadtree: each singular cell freezes the density at its own
   sample and integrates the kernel alone over a dyadic quadtree of
@@ -60,38 +106,6 @@ depend on the thread count either; nothing else sets it.  Between the
 point rows at (x, 0) and (x, 1) only the kernel's lattice index moves, so
 their difference has a closed form that needs no kernel value
 (t_omega_y_jump).
-
-The context picks how T is built and applied once, from the field
-(strategy_for), and caches one array for it, the matrix of T in the basis
-it is applied in, built on first use (operator_matrix):
-
-* convolution: when neither coefficient depends on x or y, Z is linear and
-  the kernel depends on p - s alone, except that a source wrapping across
-  y = 1 shifts Z by tau and the kernel by -2 pi i.  Only row 0, the row of
-  the target (0, 0), is built, O(n^2) work, and T is a 2-D correlation with
-  it plus the jump, which times the row scale h^2 / (2 pi i) is -h^2:
-  T g(i, j) = sum row0[(i' - i) mod n, (j' - j) mod n] g(i', j')
-              - h^2 sum_{j' < j} sum_{i'} g(i', j').
-  The cache is K = conj(fft2(conj(row0))), n^2 values, and an apply is
-  ifft2(K fft2(g)) less h^2 times the exclusive prefix sum along y of g's
-  column sums, O(n^2 log n).
-
-* circulant: otherwise, when neither coefficient depends on x, the closed
-  form has a = 1 and Z = x + phi(y), so the kernel depends on x - x' alone
-  and T commutes with x-translations:
-  W[(i, j), (i', j')] = R[j, (i' - i) mod n, j'], where R is the first n
-  rows of W.  Only R is built, O(n^3) work and memory, and only its
-  spectrum along x is kept: the n blocks of n x n in which T acts on
-  the x-frequencies of a density.  An apply is an FFT along x with one
-  block product per x-frequency, at every n.  The build transforms R
-  along x in place, so it peaks at two n^3 arrays.
-
-  Either build takes its far field by x-shifts (a = 1 on both).
-
-* dense: otherwise all n^2 rows of W are built, O(n^4) work, cached, and
-  every apply is one matrix product.  W would not fit in memory above
-  n = _MATRIX_MAX_N, so strategy_for refuses such a field there before any
-  kernel value is computed.
 """
 
 from __future__ import annotations
@@ -106,11 +120,11 @@ import numpy as np
 
 from . import exprparser as ep
 from .core import (GridFunction, HypotorusError, as_point, grid_centers,
-                   lattice_distance, reduced_lattice_distance)
+                   reduced_lattice_distance)
 from .field import (FieldSpec, NormalizedField, ZEvaluator, char_set_info,
                     coeff_grid, constant_coefficients, x_invariant)
-from .theta import (ThetaContext, pole_offset, theta_log_deriv_raw,
-                    theta_log_deriv_shifts)
+from .theta import (ThetaContext, kernel_x_fourier, pole_offset,
+                    theta_log_deriv_raw)
 
 KAPPA = 0.45        # leaf criterion: cell Z-size < KAPPA * distance to pole
 MAX_LEVEL = 16      # dyadic refinement cap for adaptive cells
@@ -131,8 +145,11 @@ class KernelContext:
     # "convolution", "circulant" or "dense": how T is built and applied
     strategy: str = field(init=False)
     # the one cached operator, built on first use by operator_matrix: the
-    # 2-D spectrum of row 0, the x-Fourier blocks of T or W, by strategy
+    # 2-D spectrum of T less its jump, the x-Fourier blocks of T or W, by
+    # strategy
     _operator: np.ndarray | None = field(repr=False, init=False, default=None)
+    # what the closed form needs, made on first use (_x_fourier)
+    _xf: _XFourier | None = field(repr=False, init=False, default=None)
 
     def __post_init__(self):
         if self.n < 8:
@@ -237,21 +254,170 @@ def kernel_context(nf: NormalizedField, n: int) -> KernelContext:
     return KernelContext(nf, n)
 
 
-def _far_field_by_shifts(ctx: KernelContext, zt: np.ndarray):
-    """Far-field kernel values and pole distances, (targets, cells), for a
-    context that is not dense.  There a = 1, so the cells of source row j'
-    lie at Z(h/2, y_j') + d h, d = 0..n-1: each (target, source row) pair
-    is reduced once, theta_log_deriv_shifts gives its n values, and the
-    distances are its lattice coordinates shifted by d h."""
+# ----------------------------------------- closed form (x-invariant fields)
+
+@dataclass(frozen=True)
+class _XFourier:
+    """The closed form's data on an x-invariant context, for the
+    frequencies p = 1..n//2 of T_p and T_-p (module docstring)."""
+
+    phi: np.ndarray    # phi at the 2n + 1 half-cell nodes m h / 2
+    d: np.ndarray      # phi_{m+1} - phi_m, per half-cell m
+    p: np.ndarray      # 1..n//2
+    up: np.ndarray     # C^+_p / 2 pi i: T_p is this times its window
+    down: np.ndarray   # C^-_{-p} / 2 pi i: the same for T_-p
+    step: np.ndarray   # exp(2 pi i p d_m), (p, half-cell); modulus <= 1
+    half: np.ndarray   # (h/2) (step - 1) / (2 pi i p d_m), the half-cell
+    #                    integral of exp(2 pi i p (phi_{m+1} - phi(s)))
+
+
+def _mean_exp(z: np.ndarray) -> np.ndarray:
+    """(exp(z) - 1) / z, and 1 at z = 0: the mean of exp over [0, z]."""
+    out = np.ones_like(z)
+    np.divide(np.expm1(z), z, out=out, where=z != 0)
+    return out
+
+
+def _x_fourier(ctx: KernelContext) -> _XFourier:
+    """The context's _XFourier, made on first use.  phi(y) = Z(0, y) at
+    the nodes, its last node phi_0 + tau, so that the nodes of the next
+    period are this period's plus tau."""
+    if ctx._xf is None:
+        n = ctx.n
+        phi = ctx.zeval.at(np.zeros(2 * n), np.arange(2 * n) / (2 * n))
+        phi = np.append(phi, phi[0] + ctx.tau)
+        d = np.diff(phi)
+        p = np.arange(1, n // 2 + 1)
+        up = kernel_x_fourier(ctx.theta, p)[0] / (2j * math.pi)
+        down = kernel_x_fourier(ctx.theta, -p)[1] / (2j * math.pi)
+        z = 2j * math.pi * p[:, None] * d
+        ctx._xf = _XFourier(phi, d, p, up, down, np.exp(z),
+                            0.5 * ctx.h * _mean_exp(z))
+    return ctx._xf
+
+
+def _window_rows(xf: _XFourier, y: float):
+    """(up, down, zero): the weights of the n cells in T_p and T_-p (each
+    (n//2, n), row p - 1) and in T_0 (n,) at the ordinate y in [0, 1),
+    applied to a density's x-Fourier coefficient on the cells.
+
+    T_p integrates over the window (y - 1, y]: each half-cell's part below
+    y, and its part above y moved down one period, where phi is less tau.
+    T_-p integrates over [y, y + 1) the same way.  Every exponential is
+    formed at a modulus of at most 1, and a part of zero length is left
+    out before its exponential is formed."""
+    n2 = len(xf.d)
+    dlt = 1.0 / n2
+    t = y * n2
+    below = np.clip(t - np.arange(n2), 0.0, 1.0)  # share of each half-cell
+    above = 1.0 - below
+    i = min(int(t), n2 - 1)
+    phi_y = xf.phi[i] + (t - i) * xf.d[i]
+    # phi where each half-cell meets y, or at its end nearer to y
+    psi = xf.phi[:-1] + below * xf.d
+    k = 2j * math.pi * xf.p[:, None]
+    tau = xf.phi[-1] - xf.phi[0]
+
+    def part(share, arg):
+        # exp(arg) times the share's integral of the exponential that
+        # falls to 1 at its end, for every (p, half-cell)
+        arg = np.where(share > 0, arg, 0.0)
+        return np.exp(arg) * (share * dlt) * _mean_exp(k * (share * xf.d))
+
+    up = part(below, k * (phi_y - psi))
+    up += part(above, k * (phi_y + tau - xf.phi[1:]))
+    down = part(above, k * (psi - phi_y))
+    down += part(below, k * (xf.phi[:-1] + tau - phi_y))
+    up = up.reshape(len(xf.p), -1, 2).sum(axis=-1) * xf.up[:, None]
+    down = down.reshape(len(xf.p), -1, 2).sum(axis=-1) * xf.down[:, None]
+    zero = -(below * dlt).reshape(-1, 2).sum(axis=-1)
+    return up, down, zero
+
+
+def _down_index(n: int) -> np.ndarray:
+    """The FFT index n - p of the frequency -p, p = 1..n//2, less the
+    Nyquist index n/2 of an even n, which +n/2 and -n/2 share."""
+    return n - np.arange(1, (n + 1) // 2)
+
+
+def _circulant_blocks(ctx: KernelContext) -> np.ndarray:
+    """The n x-Fourier blocks of T, (n, n, n), block k at FFT index k.
+
+    Block 0 is T_0: -h per cell below the target and -h/2 for its own.  The
+    rows of T_p start from the window at the lowest target and run upward:
+    T_p = -int_{-inf}^y, since C^+_p / 2 pi i = -1 / (1 - q_p) sums the
+    window over every period below, so one cell up multiplies each weight
+    by the two half-cells' steps and adds their integrals.  T_-p =
+    int_y^inf runs downward from the highest target the same way.  At the
+    Nyquist index of an even n the block is the mean of T_{n/2} and
+    T_{-n/2}."""
+    xf = _x_fourier(ctx)
+    n, h = ctx.n, ctx.h
+    top = len(xf.p)
+    step, half = xf.step, xf.half
+    op = np.empty((n, n, n), dtype=complex)
+    op[0] = -h * np.tri(n, k=-1) - 0.5 * h * np.eye(n)
+    up = _window_rows(xf, 0.5 * h)[0]
+    for j in range(n):
+        op[1:top + 1, j] = up
+        if j + 1 < n:
+            a, b = 2 * j + 1, 2 * j + 2  # the half-cells from j to j + 1
+            up *= (step[:, a] * step[:, b])[:, None]
+            up[:, j] -= step[:, b] * half[:, a]
+            up[:, j + 1] -= half[:, b]
+    nyquist = op[top].copy() if n % 2 == 0 else None
+    kd = _down_index(n)
+    down = _window_rows(xf, 1.0 - 0.5 * h)[1]
+    for j in range(n - 1, -1, -1):
+        op[kd, j] = down[:len(kd)]
+        if nyquist is not None:
+            nyquist[j] += down[-1]
+        if j > 0:
+            a, b = 2 * j - 1, 2 * j  # the half-cells from j to j - 1
+            down *= (step[:, a] * step[:, b])[:, None]
+            down[:, j] += step[:, a] * half[:, b]
+            down[:, j - 1] += half[:, a]
+    if nyquist is not None:
+        op[top] = 0.5 * nyquist
+    return op
+
+
+def _convolution_spectrum(ctx: KernelContext) -> np.ndarray:
+    """The (n, n) spectrum of T less its jump on a constant-coefficient
+    context: block k's y-circulant column is its row at the lowest target
+    read backwards, and the spectrum is that column's FFT along y.  Block
+    0's column is the -h/2 self-cell term; the -h^2 jump is applied
+    separately (t_omega)."""
+    xf = _x_fourier(ctx)
     n = ctx.n
-    e, k = pole_offset(ctx.theta, zt[:, None] - ctx.z_centers[0][None, :])
-    # a target's own cell sits on the pole, where the sum can vanish
-    # exactly; _target_rows replaces that value
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rows = theta_log_deriv_shifts(ctx.theta, e, k, n)
-    x = e.real[:, None, :] - (np.arange(n) / n)[:, None]
-    dist = lattice_distance(x, e.imag[:, None, :], ctx.tau)
-    return rows.reshape(len(zt), n * n), dist.reshape(len(zt), n * n)
+    up, down, zero = _window_rows(xf, 0.5 * ctx.h)
+    row = np.empty((n, n), dtype=complex)
+    row[0] = zero
+    row[1:len(up) + 1] = up
+    kd = _down_index(n)
+    row[kd] = down[:len(kd)]
+    if n % 2 == 0:
+        row[n // 2] = 0.5 * (up[-1] + down[-1])
+    return np.fft.fft(row[:, -np.arange(n) % n], axis=1)
+
+
+def _closed_form_point(ctx: KernelContext, g: GridFunction, x: float,
+                       y: float) -> complex:
+    """T g (x, y) in closed form: T at the ordinate y mod 1 from its window
+    rows, trigonometric interpolation along x, period 1 in x and -mean(g)
+    per unit step in y."""
+    xf = _x_fourier(ctx)
+    n = ctx.n
+    steps = math.floor(y)
+    up, down, zero = _window_rows(xf, y - steps)
+    gk = np.fft.fft(g.values, axis=0)
+    p = xf.p
+    phase = np.exp(2j * math.pi * p * (x % 1.0 - 0.5 * ctx.h))
+    if n % 2 == 0:
+        phase[-1] *= 0.5  # the Nyquist frequency, split evenly
+    val = (zero @ gk[0] + phase @ np.sum(up * gk[p], axis=1)
+           + phase.conj() @ np.sum(down * gk[n - p], axis=1))
+    return complex(val / n - steps * np.mean(g.values))
 
 
 # ------------------------------------------------ adaptive cell quadrature
@@ -270,37 +436,18 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
     (e, k).  Within |e| < R/2 (R the shortest lattice vector) lam is the
     nearest lattice point, so the pole distance is |e| exactly; only
     squares farther out are reduced again, to (e', k'), for their distance
-    and their value at (e', k + k').
-
-    Every square of a level has the same side.  Each square keeps the index
-    of its ordinate in a table of the level's distinct ordinates (about a
-    tenth as many near a degenerate circle); a child's table is its
-    parent's shifted by a quarter side either way, pruned to the entries
-    that split squares use.  A context that is not dense evaluates Z and
-    |b| once per ordinate, on that table, and a once per call: neither
-    coefficient depends on x, so a is constant and Z(x, y) = Z(0, y) + a x.
-    A dense context evaluates them at every square."""
+    and their value at (e', k + k').  Z and |a| + |b| are evaluated at
+    every square."""
     n, h = ctx.n, ctx.h
     half_radius = ctx.theta.pole_radius / 2.0
     out = np.zeros(len(cols), dtype=complex)
     pair = np.arange(len(cols))
     mx = (cols // n + 0.5) * h
-    ys = (np.arange(n) + 0.5) * h  # the table of ordinates
-    row = cols % n                 # each square's index into it
+    my = (cols % n + 0.5) * h
     side = h
-    if ctx.strategy != "dense":
-        a = complex(ctx.nf.a(0.0, 0.0))
     for level in range(MAX_LEVEL + 1):
-        if ctx.strategy == "dense":
-            my = ys[row]
-            zs = ctx.zeval.at(mx, my)
-            stretch = side * (np.abs(ctx.nf.a(mx, my))
-                              + np.abs(ctx.nf.b(mx, my)))
-        else:
-            x0 = np.zeros_like(ys)
-            zs = ctx.zeval.at(x0, ys)[row]
-            zs += a * mx
-            stretch = (side * (abs(a) + np.abs(ctx.nf.b(x0, ys))))[row]
+        zs = ctx.zeval.at(mx, my)
+        stretch = side * (np.abs(ctx.nf.a(mx, my)) + np.abs(ctx.nf.b(mx, my)))
         if level == 0:
             e, k = pole_offset(ctx.theta, zt - zs)
             zp = zs + e  # Z(p) - lam, per pair
@@ -325,16 +472,10 @@ def _refined_cell_integrals(ctx: KernelContext, zt: np.ndarray,
         if not np.any(split):
             break
         q = side / 4.0
-        # the children's table: the ordinates of split squares, less q
-        # and then plus q; children go below, above, below, above
-        keep = np.zeros(len(ys), dtype=bool)
-        keep[row[split]] = True
-        below = (np.cumsum(keep) - 1)[row[split]]
-        ys = np.concatenate([ys[keep] - q, ys[keep] + q])
-        above = below + len(ys) // 2
-        row = np.concatenate([below, above, below, above])
-        mx0 = mx[split]
+        # children go below, above, below, above
+        mx0, my0 = mx[split], my[split]
         mx = np.concatenate([mx0 - q, mx0 - q, mx0 + q, mx0 + q])
+        my = np.concatenate([my0 - q, my0 + q, my0 - q, my0 + q])
         side /= 2.0
         pair = np.tile(pair[split], 4)
     return out
@@ -377,19 +518,14 @@ def _target_rows(ctx: KernelContext, zt: np.ndarray, sing) -> np.ndarray:
     refined cell average where flagged; each singular cell holds the kernel
     integrated over its quadtree of REFINE_DEPTH levels, deepest block
     dropped.  The rows come scaled by h^2 / (2 pi i), ready to multiply a
-    grid density.  A dense context takes the far field by a series sum per
-    cell, any other by shifts (_far_field_by_shifts)."""
+    grid density."""
     n, h = ctx.n, ctx.h
-    if ctx.strategy == "dense":
-        e, k = pole_offset(ctx.theta,
-                           zt[:, None] - ctx.z_centers.ravel()[None, :])
-        # a target's own cell sits on the pole, where the Laurent series
-        # divides by zero; the singular quadtree below replaces that value
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rows = theta_log_deriv_raw(ctx.theta, e, k)
-        dist = reduced_lattice_distance(e, ctx.tau)
-    else:
-        rows, dist = _far_field_by_shifts(ctx, zt)
+    e, k = pole_offset(ctx.theta, zt[:, None] - ctx.z_centers.ravel()[None, :])
+    # a target's own cell sits on the pole, where the Laurent series divides
+    # by zero; the singular quadtree below replaces that value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = theta_log_deriv_raw(ctx.theta, e, k)
+    dist = reduced_lattice_distance(e, ctx.tau)
     groups = {}
     for r, c, ox, oy in sing:
         dist[r, c] = np.inf
@@ -419,13 +555,14 @@ def _operator_rows(ctx: KernelContext, r0: int, r1: int) -> np.ndarray:
     return _target_rows(ctx, ctx.z_centers.ravel()[r0:r1], sing)
 
 
-def _built_rows(ctx: KernelContext, total: int) -> np.ndarray:
-    """Rows [0, total) of W, built in blocks of _ROW_BLOCK rows, on one
-    worker per block up to the CPUs the process may run on; a one-block
-    build runs inline.  The context is complete when it is made, so the
-    workers only read shared state, and every block lands in its own
-    rows, so W does not depend on the worker count."""
-    rows = np.empty((total, ctx.n * ctx.n), dtype=complex)
+def _built_rows(ctx: KernelContext) -> np.ndarray:
+    """All n^2 rows of W, built in blocks of _ROW_BLOCK rows, on one worker
+    per block up to the CPUs the process may run on; a one-block build runs
+    inline.  The context is complete when it is made, so the workers only
+    read shared state, and every block lands in its own rows, so W does not
+    depend on the worker count."""
+    total = ctx.n * ctx.n
+    rows = np.empty((total, total), dtype=complex)
 
     def fill(block):
         r0, r1 = block
@@ -450,26 +587,18 @@ def operator_matrix(ctx: KernelContext) -> np.ndarray:
     """The matrix of T in the basis the context applies it in, cached on
     the context, built on first use and read-only.  Dense: W, with
     T g = (W @ g.ravel()).reshape(n, n).  Circulant: the n blocks of T in
-    the x-Fourier basis, from R, the first n rows of W, those of the
-    targets in the column x = h/2; block k is the n x n matrix
-    sum_d R[:, d, :] exp(2 pi i k d / n) that multiplies the k-th
-    x-frequency of a density.  Convolution: the (n, n) array
-    conj(fft2(conj(row0))), from row 0 of W alone, the 2-D spectrum of the
-    correlation in the module docstring."""
+    the x-Fourier basis (_circulant_blocks); block k is the n x n matrix
+    that multiplies the k-th x-frequency of a density, the FFT along x of
+    its grid rows.  Convolution: the (n, n) 2-D spectrum of T less its
+    jump (_convolution_spectrum).  Neither of the last two evaluates a
+    kernel value."""
     if ctx._operator is None:
-        n = ctx.n
         if ctx.strategy == "dense":
-            op = _built_rows(ctx, n * n)
+            op = _built_rows(ctx)
         elif ctx.strategy == "convolution":
-            row0 = _built_rows(ctx, 1).reshape(n, n)
-            op = np.fft.fft2(row0.conj()).conj()
+            op = _convolution_spectrum(ctx)
         else:
-            rows = _built_rows(ctx, n).reshape(n, n, n)
-            # one target row at a time, in place, so the build holds two
-            # n^3 arrays
-            for j in range(n):
-                rows[j] = np.fft.ifft(rows[j], axis=0, norm="forward")
-            op = np.ascontiguousarray(np.moveaxis(rows, 1, 0))
+            op = _circulant_blocks(ctx)
         op.flags.writeable = False
         ctx._operator = op
     return ctx._operator
@@ -518,7 +647,9 @@ def _point_cells(n: int, x: float, y: float):
 def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
     """Evaluate T g at an arbitrary point of the universal cover.
 
-    The point is deliberately not reduced mod 1: the operator is
+    On an x-invariant context the closed form gives it (_closed_form_point),
+    with T's laws off the unit square applied exactly.  On a dense one the
+    point is deliberately not reduced mod 1: the operator is
     quasi-periodic, not periodic, and the exact lattice shifts of the
     kernel produce the required additive constants.  When p sits on a cell
     edge or corner, every cell whose closure contains it is treated as
@@ -527,6 +658,8 @@ def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     pp = as_point(p)
+    if ctx.strategy != "dense":
+        return _closed_form_point(ctx, g, pp.x, pp.y)
     zp = complex(ctx.zeval.at(pp.x, pp.y))
     sing = _point_cells(ctx.n, pp.x, pp.y)
     row = _target_rows(ctx, np.array([zp]), sing)[0]
@@ -536,15 +669,19 @@ def t_omega_point(ctx: KernelContext, g: GridFunction, p) -> complex:
 def t_omega_y_jump(ctx: KernelContext, g: GridFunction, x: float) -> complex:
     """T g (x, 1) - T g (x, 0), in closed form: no kernel value is needed.
 
-    t_omega_point builds both rows over the same singular cells, and the
-    kernel's lattice index moves by exactly one between them, so every
-    cell weight moves by minus the area it integrates over: h^2, less the
-    blocks a singular quadtree drops around the probe.  The jump is
-    -mean(g) plus g on each singular cell times its dropped area.
+    On an x-invariant context it is -mean(g) exactly, T's law per unit
+    step in y.  On a dense one t_omega_point builds both rows over the same
+    singular cells, and the kernel's lattice index moves by exactly one
+    between them, so every cell weight moves by minus the area it
+    integrates over: h^2, less the blocks a singular quadtree drops around
+    the probe.  The jump is -mean(g) plus g on each singular cell times its
+    dropped area.
     """
     if g.n != ctx.n:
         raise HypotorusError(f"grid mismatch: g.n={g.n}, ctx.n={ctx.n}")
     jump = -complex(np.mean(g.values))
+    if ctx.strategy != "dense":
+        return jump
     for c, dropped in _jump_cells(ctx.n, x):
         jump += g.values.flat[c] * ctx.h ** 2 * dropped
     return jump

@@ -78,12 +78,13 @@ def mean_integral(g: GridFunction) -> complex:
 def _boundary_offsets(ctx: KernelContext, g: GridFunction) -> float:
     """Spread of T g (x, 1) - T g (x, 0) over OFFSET_SAMPLES abscissae.
 
-    Each offset comes in closed form from t_omega_y_jump: -mean(g) plus g
-    on the probe's singular cells times the area their quadtrees drop
-    around it, which is what two t_omega_point probes give, since the
-    kernel's lattice index moves by exactly one between them.  The spread
-    follows how much g varies over the dropped blocks; it does not measure
-    quadrature error.
+    Each offset comes in closed form from t_omega_y_jump, which is what
+    two t_omega_point probes give: -mean(g) exactly on an x-invariant
+    field, so the spread is 0 there; on a dense one -mean(g) plus g on the
+    probe's singular cells times the area their quadtrees drop around it,
+    since the kernel's lattice index moves by exactly one between them.
+    The spread follows how much g varies over the dropped blocks; it does
+    not measure quadrature error.
     """
     xs = (np.arange(OFFSET_SAMPLES) + 0.5) / OFFSET_SAMPLES
     offs = np.array([t_omega_y_jump(ctx, g, x) for x in xs])
@@ -106,9 +107,10 @@ def nu_estimates(ctx: KernelContext, a_fn: GridFunction) -> NuEstimate:
     """nu(A) = -(1/2pi i) integral of A.  The grid mean is authoritative
     and is the one solve_a uses; the boundary jump is probed with two
     t_omega_point rows, T A (0, 1) - T A (0, 0).  It equals the same
-    integral up to the quadtree blocks dropped around the probes (see
-    t_omega_y_jump), so their discrepancy checks the lattice-shift
-    bookkeeping of point rows, not the quadrature."""
+    integral, exactly on an x-invariant field and up to the quadtree
+    blocks dropped around the probes on a dense one (see t_omega_y_jump),
+    so their discrepancy checks the lattice-shift bookkeeping of point
+    rows, not the quadrature."""
     two_pi_i = 2.0j * np.pi
     nu_mean = -mean_integral(a_fn) / two_pi_i
     nu_bdry = (t_omega_point(ctx, a_fn, (0.0, 1.0))

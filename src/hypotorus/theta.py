@@ -18,10 +18,18 @@ from Theta(z0 + e) = i e^(-i*pi*e - i*pi*tau/4) theta_1(pi*e) and the odd
 theta_1'/theta_1 (Whittaker & Watson, section 21).  It converges for |e|
 below the shortest lattice vector R, the distance to the next zero.
 
-The kernel's values are Theta'/Theta(arg + z0) for arguments arg = Z(p) -
-Z(s), so this module alone knows where the zero is: pole_offset reduces arg
-once to (e, k), e the offset of arg + z0 from the zero in the lattice cell
-around it, and theta_log_deriv_raw and theta_log_deriv_shifts take (e, k).
+The kernel is K(w) = Theta'/Theta(w + z0) for arguments w = Z(p) - Z(s),
+so this module alone knows where the zero is: pole_offset reduces w once to
+(e, k), e the offset of w + z0 from the zero in the lattice cell around it,
+and theta_log_deriv_raw takes (e, k).
+
+The same identity gives K(w) = -i*pi + pi*theta_1'/theta_1(pi*w), and the
+classical series theta_1'/theta_1(z) = cot z + 4 sum_m q^(2m)/(1 - q^(2m))
+sin 2mz, q = exp(i*pi*tau), gives K its Fourier series along x between its
+pole lines: K(w) = sum_k C_k exp(2*pi*i*k*w), with one set of coefficients
+for 0 < Im w < Im tau and another for -Im tau < Im w < 0
+(kernel_x_fourier).  An operator on a field whose first integral is x +
+phi(y) needs nothing else.
 """
 
 from __future__ import annotations
@@ -227,8 +235,7 @@ def theta_log_deriv_raw(ctx: ThetaContext, e, k) -> np.ndarray:
     z0 + e has |Im| <= Im(tau)/2 + R/2, inside the series' truncation range
     2 Im(tau) whenever R <= 3 Im(tau), as for every Im(tau) >= 1/3.  e is
     taken as given, with no second reduction and no pole-distance guard.
-    Every kernel value of the operator comes from this function, except
-    the far field on a circulant context (theta_log_deriv_shifts).
+    Every kernel value of the operator comes from this function.
 
     Points with |e| < R/4 take the pole's Laurent series (module
     docstring), one Horner pass in e^2, as many terms as the batch's
@@ -276,28 +283,25 @@ def _pole_laurent(ctx: ThetaContext, e: np.ndarray,
     return q
 
 
-def theta_log_deriv_shifts(ctx: ThetaContext, e, k, n: int) -> np.ndarray:
-    """theta_log_deriv_raw at e - d/n for d = 0..n-1, along a new axis
-    before the last: out[..., d, :] is the value at e[..., :] - d/n, for e
-    in lattice coordinates [-1/2, 1/2).  All values come from the theta
-    series at z0 + e - d/n, the Laurent disc's too.
+def kernel_x_fourier(ctx: ThetaContext, k):
+    """The x-Fourier coefficients (above, below) of the kernel K(w) =
+    Theta'/Theta(w + z0) at the integer frequencies k, so that K(w) =
+    sum_k C_k exp(2*pi*i*k*w) with C = above for 0 < Im w < Im tau and C =
+    below for -Im tau < Im w < 0.  With q_k = exp(2*pi*i*k*tau):
 
-    The shifts are real, so k is shared, and the Laurent terms c_m u^m of
-    Theta(w - d/n), w = z0 + e, carry the factor exp(-2*pi*i*m*d/n).
-    Folding the terms mod n turns the n values into one length-n FFT each
-    for Theta and Theta', O(m_max + n log n) per e in place of n series
-    sums."""
-    w = np.asarray(e, dtype=complex) + ctx.zero_point
-    m = np.arange(-ctx.m_max, ctx.m_max + 1)
-    terms = (ctx._laurent[np.abs(m), None]
-             * np.exp((2j * math.pi) * w[..., None, :] * m[:, None]))
-    s0 = np.zeros(w.shape[:-1] + (n,) + w.shape[-1:], dtype=complex)
-    s1 = np.zeros_like(s0)
-    for i, mi in enumerate(m):
-        s0[..., mi % n, :] += terms[..., i, :]
-        s1[..., mi % n, :] += (2j * math.pi * mi) * terms[..., i, :]
-    s0 = np.fft.fft(s0, axis=-2)
-    s1 = np.fft.fft(s1, axis=-2)
-    s1 /= s0
-    s1 -= (2j * math.pi) * np.asarray(k)[..., None, :]
-    return s1
+        above: C_0 = -2*pi*i, C_k = -2*pi*i/(1 - q_k) for k >= 1,
+               C_k = 2*pi*i*q_|k|/(1 - q_|k|) for k <= -1;
+        below: C_0 = 0, C_k = -2*pi*i*q_k/(1 - q_k) for k >= 1,
+               C_k = 2*pi*i/(1 - q_|k|) for k <= -1.
+
+    So below = above * q_k for k != 0, which is K(w + tau) = K(w) - 2*pi*i
+    frequency by frequency.  Only q_|k|, of modulus below 1, is formed, so
+    no coefficient overflows at any k."""
+    k = np.asarray(k)
+    q = np.exp(2j * math.pi * np.abs(k) * ctx.lattice.tau)
+    q = np.where(k == 0, 0.0, q)  # so that C_0 takes the k >= 1 formulas
+    two_pi_i = 2j * math.pi
+    pos = k >= 0
+    above = np.where(pos, -two_pi_i, two_pi_i * q) / (1.0 - q)
+    below = np.where(pos, -two_pi_i * q, two_pi_i) / (1.0 - q)
+    return above, below

@@ -48,11 +48,16 @@ def apply_l_fd(nf: NormalizedField, u: GridFunction) -> GridFunction:
 
 def included_columns(nf: NormalizedField, n: int) -> np.ndarray:
     """Boolean mask over y-rows at torus distance > 4/n from every
-    declared degenerate ordinate."""
-    ys = (np.arange(n) + 0.5) / n
-    keep = np.ones(n, dtype=bool)
-    for comp in nf.components:
-        keep &= comp.distance(ys) > 4.0 / n
+    declared degenerate ordinate: computed once per field and n, cached on
+    the field next to coeff_grid's grids, and read-only."""
+    keep = nf._grids.get(("included_columns", n))
+    if keep is None:
+        ys = (np.arange(n) + 0.5) / n
+        keep = np.ones(n, dtype=bool)
+        for comp in nf.components:
+            keep &= comp.distance(ys) > 4.0 / n
+        keep.flags.writeable = False
+        nf._grids[("included_columns", n)] = keep
     return keep
 
 

@@ -25,8 +25,8 @@ def nf_perturbed():
 
 
 # Contexts cache their operator in one array, which operator_matrix returns:
-# the 2-D spectrum of row 0 for constant coefficients and the x-Fourier
-# blocks of any other x-invariant field's operator, at any n, the dense
+# the 2-D spectrum of the closed form for constant coefficients and its
+# x-Fourier blocks for any other x-invariant field, at any n, the dense
 # matrix of an x-dependent one up to n = 80.  The expensive ones are shared
 # across the whole run.
 

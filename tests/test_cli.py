@@ -126,8 +126,9 @@ def test_field_info_takes_any_grid_size(tmp_path, capsys):
 
 
 def test_load_config_ab_above_80_on_x_invariant_field(tmp_path):
-    # the circulant operator is cached at every n, so only fields whose
-    # coefficients depend on x keep the n <= 80 limit for equation 'ab'
+    # the closed form builds an x-invariant operator at every n, so only
+    # fields whose coefficients depend on x keep the n <= 80 limit for
+    # equation 'ab'
     cfg = cli.load_config(write_cfg(tmp_path, {
         "field": {"builtin": "elliptic"}, "equation": "ab", "grid_n": 96,
         "rhs": {"A": "1", "B": "0.1"}}))

@@ -5,6 +5,7 @@ import pytest
 
 from hypotorus import HypotorusError, ZEvaluator, build_field, normalize
 from hypotorus import exprparser as ep
+from hypotorus import field as field_module
 from hypotorus.core import grid_centers
 from hypotorus.field import (
     BUILTIN_NAMES,
@@ -212,6 +213,34 @@ def test_char_set_info_flags_wrong_declared_rate():
     rep = char_set_info(normalize(spec))
     (comp,) = rep.components
     assert comp.rate_mismatch
+
+
+@pytest.mark.parametrize("spec", [
+    build_field("elliptic"), build_field("degenerate_sin2"),
+    FieldSpec("custom", "1", "i*(1.5+sin(2*pi*y))", None, ()),
+    FieldSpec("overdeclared", "1", "i*sin(pi*y)^2", None,
+              (SigmaComponent(4.0, 0.3, "y=0.3"),))])
+def test_char_set_info_reads_one_column_when_x_invariant(spec, monkeypatch):
+    # Im(a*conj(b)) does not depend on x, so one column of the PROBE_N grid
+    # gives the report the whole grid gives, from a 128th of its points
+    nf = normalize(spec)
+    count, eval_expr = [0], ep.eval_expr
+
+    def counting(ast, x, y):
+        count[0] += np.broadcast(np.asarray(x), np.asarray(y)).size
+        return eval_expr(ast, x, y)
+
+    monkeypatch.setattr(ep, "eval_expr", counting)
+    rep = char_set_info(nf)
+    column = count[0]
+    with monkeypatch.context() as m:
+        m.setattr(field_module, "x_invariant", lambda fld: False)
+        count[0] = 0
+        assert char_set_info(nf) == rep
+    # a and b each at PROBE_N points in place of PROBE_N^2; the rate fits
+    # evaluate the same points either way
+    probe_n = field_module.PROBE_N
+    assert count[0] - column == 2 * (probe_n ** 2 - probe_n)
 
 
 def test_coeff_grid_is_cached_on_the_field_and_read_only(monkeypatch):

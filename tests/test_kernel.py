@@ -1,4 +1,3 @@
-import copy
 import sys
 import threading
 import warnings
@@ -22,6 +21,7 @@ from hypotorus.core import (grid_centers, lattice_reduce,
 from hypotorus.field import (FieldSpec, SigmaComponent, build_field,
                              coeff_grid, normalize, x_invariant)
 from hypotorus.solvers import solve_a
+from hypotorus.theta import kernel_x_fourier, pole_offset, theta_log_deriv_raw
 
 from helpers import kernel_m, use_cpus
 
@@ -32,15 +32,15 @@ NO_Z_EXACT = FieldSpec(
     (SigmaComponent(2.0, 0.0, "y=0"),))
 
 # a field constant in x with no z_exact: the circulant strategy on the
-# quadrature Z path
+# quadrature Z path, tau = 1.5i
 X_INVARIANT_NO_Z = FieldSpec("custom", "1", "i*(1.5+sin(2*pi*y))", None, ())
 
 # constant coefficients with no z_exact and a non-rectangular tau: the
-# one-row circulant build on the quadrature Z path
+# convolution strategy on the quadrature Z path
 TILTED_NO_Z = FieldSpec("custom", "1", "0.3+0.8*i", None, ())
 
 # elliptic with a declared circle, which shapes no part of the operator:
-# it takes the one-row circulant build
+# it takes the convolution strategy
 ELLIPTIC_CIRCLE = FieldSpec("elliptic", "1", "i", "x + i*y",
                             (SigmaComponent(2.0, 0.3, "y=0.3"),))
 
@@ -206,12 +206,33 @@ def test_build_threads_follow_cpus_and_blocks(nf_perturbed, nf_elliptic,
     assert pools == [3]
 
 
+def test_dense_build_is_thread_count_invariant(nf_deg_2d, monkeypatch):
+    # degenerate_2d at n=16 is four row blocks: built inline on one CPU and
+    # on a pool of two threads on two, W is the same bit for bit
+    pools = []
+
+    class Recording(kn.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(kn, "ThreadPoolExecutor", Recording)
+    builds = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        builds.append(operator_matrix(kernel_context(nf_deg_2d, 16)))
+    assert pools == [2]
+    assert np.array_equal(*builds)
+
+
 @pytest.mark.parametrize("name", ["nf_deg_sin2", "nf_deg_2d"])
 def test_weights_do_not_depend_on_row_blocks(name, request):
     # refinement next to the degenerate circles is never cut short, so rows
-    # built 32 or all 1024 at a time equal the dense build's 64-row blocks
+    # built 32 or all 1024 at a time equal the dense build's 64-row blocks;
+    # the row engine builds degenerate_sin2's rows as a dense field's,
+    # although its own operator is the closed form
     ctx = kernel_context(request.getfixturevalue(name), 32)
-    want = _grid_w(ctx)
+    want = kn._built_rows(ctx)
     for size in (32, 1024):
         got = np.vstack([kn._operator_rows(ctx, r, r + size)
                          for r in range(0, 1024, size)])
@@ -284,16 +305,18 @@ def test_strategy_follows_the_field(nf_perturbed, nf_deg_2d):
     for n in (16, 32)] + [
     ("degenerate_sin2", 8), ("noz", 8), ("tilted", 8)])
 def test_circulant_matches_stacked_rows(name, n):
-    # the convolution or circulant build (one row or n rows, far field by
-    # shifts) applied to every grid basis vector, and the FFT apply,
-    # against all n^2 rows from the row engine as a field that depends on x
-    # builds them, one series sum per far-field cell; at n=8 the
-    # 2 m_max + 1 Laurent terms fold mod n
+    # the cached operator (blocks from the row recurrence, or the
+    # convolution spectrum) applied to every grid basis vector, and the FFT
+    # apply, against W stacked from the window rows at every cell centre,
+    # one ordinate at a time with no recurrence; n=8 has a Nyquist block
     spec = CIRCULANT_SPECS.get(name) or build_field(name)
     ctx = kernel_context(normalize(spec), n)
     assert ctx.strategy == STRATEGIES[name]
-    want = np.vstack([kn._operator_rows(_as_dense(ctx), r, r + 64)
-                      for r in range(0, n * n, 64)])
+    xf = kn._x_fourier(ctx)
+    blocks = np.stack([_fft_index_rows(n, *kn._window_rows(xf, (j + 0.5) / n))
+                       for j in range(n)], axis=1)
+    basis = np.fft.fft(np.eye(n * n).reshape(n, n, n * n), axis=0)
+    want = np.fft.ifft(blocks @ basis, axis=0).reshape(n * n, n * n)
     scale = np.max(np.abs(want))
     w = _grid_w(ctx)
     assert np.max(np.abs(w - want)) <= 1e-13 * scale
@@ -302,6 +325,19 @@ def test_circulant_matches_stacked_rows(name, n):
     wg = w @ g.values.ravel()
     got = t_omega(ctx, g).values.ravel()
     assert np.max(np.abs(got - wg)) <= 1e-13 * np.max(np.abs(wg))
+
+
+def _fft_index_rows(n, up, down, zero):
+    # T_k's row by FFT index k: T_p at p, T_-p at n - p, their mean at the
+    # Nyquist index of an even n
+    rows = np.empty((n, n), dtype=complex)
+    rows[0] = zero
+    for p in range(1, len(up) + 1):
+        rows[p] = up[p - 1]
+        rows[n - p] = down[p - 1]
+    if n % 2 == 0:
+        rows[n // 2] = 0.5 * (up[-1] + down[-1])
+    return rows
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -315,35 +351,68 @@ def test_declared_circle_shapes_no_part_of_the_operator(n):
 
 @pytest.mark.parametrize("name", ["degenerate_sin2", "tilted"])
 def test_circulant_point_probe_matches_series(name):
-    # a point probe on a circulant context takes its far field by shifts
-    # as well: against one series sum per far-field cell, at an interior
-    # point, a cell corner and a point off the unit square
+    # a point probe on an x-invariant context against the kernel's
+    # x-Fourier series summed directly: C^+ on each half-cell part below
+    # the probe and C^- above it, with no window and no recurrence, at an
+    # interior point, a cell corner and a point off the unit square (by T's
+    # laws: period 1 in x, -mean(g) per unit step in y)
+    n = 16
     spec = CIRCULANT_SPECS.get(name) or build_field(name)
-    ctx = kernel_context(normalize(spec), 16)
+    ctx = kernel_context(normalize(spec), n)
     g = GridFunction.from_callable(
-        16, lambda x, y: np.exp(2j * np.pi * (x + 2 * y)) + np.sin(np.pi * y))
+        n, lambda x, y: np.exp(2j * np.pi * (x + 2 * y)) + np.sin(np.pi * y))
+    gk = np.fft.fft(g.values, axis=0) / n
+    nodes = np.arange(2 * n + 1) / (2 * n)
+    phi = ctx.zeval.at(np.zeros_like(nodes), nodes)
+    phi[-1] = phi[0] + ctx.tau
     for p in [(0.3, 0.71), (0.25, 0.5), (1.4, -0.35)]:
+        x, y = p[0] % 1.0, p[1] % 1.0
+        phi_y = np.interp(y, nodes, phi.real) + 1j * np.interp(y, nodes,
+                                                               phi.imag)
+        want = 0j
+        for k in range(-n // 2, n // 2 + 1):
+            above, below = kernel_x_fourier(ctx.theta, k)
+            cells = np.zeros(n, dtype=complex)
+            for m in range(2 * n):
+                lo, hi = nodes[m], nodes[m + 1]
+                for a, b, coef in ((lo, min(hi, y), above),
+                                   (max(lo, y), hi, below)):
+                    if b <= a:
+                        continue
+                    za, zb = [phi[m] + (v - lo) * 2 * n * (phi[m + 1] - phi[m])
+                              for v in (a, b)]
+                    arg = 2j * np.pi * k * (zb - za)
+                    mean = (np.expm1(-arg) / -arg) if arg else 1.0
+                    cells[m // 2] += (coef * (b - a) * mean
+                                      * np.exp(2j * np.pi * k * (phi_y - za)))
+            share = 0.5 if abs(k) == n // 2 else 1.0
+            want += (share * np.exp(2j * np.pi * k * (x - 0.5 / n))
+                     * (cells @ gk[k % n]) / (2j * np.pi))
+        want -= np.floor(p[1]) * np.mean(g.values)
         got = t_omega_point(ctx, g, p)
-        want = t_omega_point(_as_dense(ctx), g, p)
-        assert abs(got - want) <= 1e-13 * abs(want)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("name, rows", [
-    ("elliptic", 1), ("tilted", 1), ("elliptic_circle", 1),
-    ("degenerate_sin2", 16)])
+    ("elliptic", 1), ("tilted", 1), ("elliptic_circle", 1)])
 def test_constant_coefficient_field_builds_one_row(name, rows, monkeypatch):
     # T commutes with y-shifts too when neither coefficient depends on x or
-    # y: row 0 gives all of R
+    # y: the window row at the lowest target gives the whole spectrum, and
+    # no row of the row engine is built
     spec = CIRCULANT_SPECS.get(name) or build_field(name)
     ctx = kernel_context(normalize(spec), 16)
     built = [0]
-    operator_rows = kn._operator_rows
+    window_rows = kn._window_rows
 
-    def counting(ctx, r0, r1):
-        built[0] += r1 - r0
-        return operator_rows(ctx, r0, r1)
+    def counting(xf, y):
+        built[0] += 1
+        return window_rows(xf, y)
 
-    monkeypatch.setattr(kn, "_operator_rows", counting)
+    def refuse(*args):
+        raise AssertionError("a row of the row engine was built")
+
+    monkeypatch.setattr(kn, "_window_rows", counting)
+    monkeypatch.setattr(kn, "_operator_rows", refuse)
     t_omega(ctx, GridFunction.from_callable(16, lambda x, y: np.sin(x + y)))
     assert built[0] == rows
 
@@ -364,75 +433,9 @@ def _grid_w(ctx):
     return np.fft.ifft(op @ basis, axis=0).reshape(n * n, n * n)
 
 
-def _as_dense(ctx):
-    # the same context, built as a field that depends on x would be: one
-    # series sum per far-field cell, and refinement evaluating Z and
-    # |a| + |b| at every square
-    dense = copy.copy(ctx)
-    dense.strategy = "dense"
-    return dense
-
-
-def _flagged_pairs(ctx, monkeypatch):
-    # the (zt, cols) arguments of every refinement call in one operator
-    # build
-    calls, refined = [], kn._refined_cell_integrals
-
-    def recording(ctx, zt, cols):
-        calls.append((zt, cols))
-        return refined(ctx, zt, cols)
-
-    with monkeypatch.context() as m:
-        m.setattr(kn, "_refined_cell_integrals", recording)
-        t_omega(ctx, GridFunction.zeros(ctx.n))
-    return calls
-
-
-@pytest.mark.parametrize("name, tol", [
-    ("elliptic", 0.0), ("degenerate_sin2", 0.0), ("noz", 1e-13),
-    ("tilted", 1e-13)])
-def test_refinement_on_the_ordinate_table_matches_per_square(name, tol,
-                                                             monkeypatch):
-    # Z(x, y) = Z(0, y) + a x is exact for the builtins' z_exact, and holds
-    # to rounding for Z from quadrature
-    spec = CIRCULANT_SPECS.get(name) or build_field(name)
-    ctx = kernel_context(normalize(spec), 32)
-    calls = _flagged_pairs(ctx, monkeypatch)
-    assert sum(len(cols) for _, cols in calls) > 0
-    for zt, cols in calls:
-        got = kn._refined_cell_integrals(ctx, zt, cols)
-        want = kn._refined_cell_integrals(_as_dense(ctx), zt, cols)
-        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
-
-
-def test_refinement_evaluates_expressions_per_ordinate(nf_deg_sin2,
-                                                       monkeypatch):
-    # the squares refined next to the circle share few ordinates, so a
-    # circulant build evaluates Z, a and b at far fewer points than it
-    # has squares
-    count = [0]
-    eval_expr, refined = ep.eval_expr, kn._refined_cell_integrals
-
-    def counting(ast, x, y):
-        count[0] += np.broadcast(np.asarray(x), np.asarray(y)).size
-        return eval_expr(ast, x, y)
-
-    def points_in_build(lookup):
-        ctx = kernel_context(nf_deg_sin2, 32)
-        with monkeypatch.context() as m:
-            m.setattr(ep, "eval_expr", counting)
-            m.setattr(kn, "_refined_cell_integrals",
-                      lambda ctx, zt, cols: refined(lookup(ctx), zt, cols))
-            count[0] = 0
-            t_omega(ctx, GridFunction.zeros(32))
-        return count[0]
-
-    assert points_in_build(_as_dense) >= 5 * points_in_build(lambda c: c)
-
-
-def test_refinement_leaves_are_pinned(nf_deg_sin2, monkeypatch):
-    # kernel values at refinement leaves of a degenerate_sin2 n=32 build:
-    # a pole distance that flipped a split decision would move the count
+def test_refinement_leaves_are_pinned(nf_deg_2d, monkeypatch):
+    # kernel values at refinement leaves of a degenerate_2d n=16 build: a
+    # pole distance that flipped a split decision would move the count
     count, inside = [0], [False]
     raw, refined = kn.theta_log_deriv_raw, kn._refined_cell_integrals
 
@@ -450,11 +453,11 @@ def test_refinement_leaves_are_pinned(nf_deg_sin2, monkeypatch):
     monkeypatch.setattr(kn, "theta_log_deriv_raw", counting)
     monkeypatch.setattr(kn, "_refined_cell_integrals", marking)
     use_cpus(monkeypatch, 1)
-    t_omega(kernel_context(nf_deg_sin2, 32), GridFunction.zeros(32))
-    assert count[0] == 166916
+    t_omega(kernel_context(nf_deg_2d, 16), GridFunction.zeros(16))
+    assert count[0] == 774132
 
 
-def test_refinement_reduces_each_pair_once(nf_deg_sin2, monkeypatch):
+def test_refinement_reduces_each_pair_once(nf_deg_2d, monkeypatch):
     # a refinement reduces each flagged (target, cell) pair once, at its
     # cell center; afterwards only squares whose offset e from the pair's
     # pole is at least R/2 are reduced again, to find their pole distance
@@ -479,24 +482,25 @@ def test_refinement_reduces_each_pair_once(nf_deg_sin2, monkeypatch):
             monkeypatch.setattr(mod, "lattice_reduce", recording)
     monkeypatch.setattr(kn, "_refined_cell_integrals", marking)
     use_cpus(monkeypatch, 1)
-    ctx = kernel_context(nf_deg_sin2, 32)
-    t_omega(ctx, GridFunction.zeros(32))
+    n = 16
+    ctx = kernel_context(nf_deg_2d, n)
+    t_omega(ctx, GridFunction.zeros(n))
     assert calls
     for pairs, first, *fallbacks in calls:
         assert first.size == pairs
         for z in fallbacks:
             assert np.all(np.abs(z - ctx.z0) >= ctx.theta.pole_radius / 2)
-    # no pair of this build reaches R/2, so refine every cell of target 0:
-    # those that stay one square, most of them beyond R/2, must match the
-    # far field's value at the cell center
+    # refine every cell of target 0: those that stay one square, many of
+    # them beyond R/2, must match the far field's value at the cell center
     zt = ctx.z_centers.ravel()[:1]
-    rows, dist = kn._far_field_by_shifts(ctx, zt)
-    cols = np.arange(1, 32 * 32)
-    one = ctx.coeff_size.ravel()[cols] / 32 < 0.9 * kn.KAPPA * dist[0, cols]
+    e, k = pole_offset(ctx.theta, zt[:, None] - ctx.z_centers.ravel())
+    cols = np.arange(1, n * n)
+    far = theta_log_deriv_raw(ctx.theta, e[0, cols], k[0, cols])
+    dist = reduced_lattice_distance(e[0, cols], ctx.tau)
+    one = ctx.coeff_size.ravel()[cols] / n < 0.9 * kn.KAPPA * dist
     got = kn._refined_cell_integrals(ctx, np.repeat(zt, len(cols)), cols)
-    assert len(calls[-1]) > 2
-    assert np.allclose(got[one] * 32 * 32, rows[0, cols[one]], rtol=1e-12,
-                       atol=0.0)
+    assert len(calls[-1]) > 2 and np.count_nonzero(one) > n
+    assert np.allclose(got[one] * n * n, far[one], rtol=1e-12, atol=0.0)
 
 
 def test_dense_build_and_corner_probe_raise_no_warning(nf_deg_2d):
@@ -555,14 +559,15 @@ def test_z_exact_that_is_not_a_first_integral_is_refused(z_exact):
 
 
 def test_circulant_rows_are_built_once(nf_deg_sin2, monkeypatch):
-    # operator_matrix leaves the spectrum cached, so an apply builds nothing
+    # operator_matrix leaves the blocks cached, so an apply builds nothing
     ctx = kernel_context(nf_deg_sin2, 16)
     operator_matrix(ctx)
 
     def refuse(*args):
         raise AssertionError("operator rows built twice")
 
-    monkeypatch.setattr(kn, "_operator_rows", refuse)
+    for name in ("_operator_rows", "_circulant_blocks", "_window_rows"):
+        monkeypatch.setattr(kn, name, refuse)
     g = GridFunction.from_callable(16, lambda x, y: np.cos(2 * np.pi * x))
     t_omega(ctx, g)
 
@@ -584,7 +589,8 @@ def test_circulant_context_caches_one_array(nf_deg_sin2):
 
 def test_circulant_build_is_thread_count_invariant(nf_deg_sin2,
                                                   monkeypatch):
-    # n=128 is 128 rows, two row blocks, so two of four CPUs share the build
+    # the closed form builds the n=128 blocks on the calling thread, on any
+    # number of CPUs
     g = GridFunction.from_callable(
         128, lambda x, y: np.exp(2j * np.pi * (x - y)))
     runs = []
@@ -600,14 +606,17 @@ def test_circulant_build_is_thread_count_invariant(nf_deg_sin2,
 def test_convolution_apply_matches_direct_sum(name):
     # T g(i, j) = sum row0[(i' - i) mod n, (j' - j) mod n] g(i', j')
     #             - h^2 sum_{j' < j} sum_{i'} g(i', j'),
-    # summed directly at 8 targets: O(n^2) each, no FFT and no n^3 array
+    # summed directly at 8 targets: O(n^2) each, no FFT along y and no n^3
+    # array; row0, the weights of target (0, 0) less the jump, comes from
+    # the window rows at y = h/2, back along x from the x-frequencies
     n = 256
     spec = CIRCULANT_SPECS.get(name) or build_field(name)
     ctx = kernel_context(normalize(spec), n)
     rng = np.random.default_rng(23)
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     got = t_omega(ctx, GridFunction(n, g)).values
-    row0 = kn._built_rows(ctx, 1).reshape(n, n)
+    rows = _fft_index_rows(n, *kn._window_rows(kn._x_fourier(ctx), 0.5 / n))
+    row0 = np.fft.ifft(rows, axis=0)[-np.arange(n) % n]
     below = np.cumsum(g.sum(axis=0)) - g.sum(axis=0)
     targets = [(0, 0), (0, 255), (255, 0), (17, 200), (128, 128), (201, 3),
                (90, 250), (255, 255)]
@@ -644,6 +653,77 @@ def test_convolution_build_is_thread_count_invariant(nf_elliptic,
         runs.append((t_omega(ctx, g).values, ctx._operator))
     assert np.array_equal(runs[0][1], runs[1][1])
     assert np.array_equal(runs[0][0], runs[1][0])
+
+
+# the manufactured error mod const over all rows, t_omega(L w) against w =
+# 0.2 sin(2 pi x) cos(2 pi y), of the row engine that built these fields'
+# operators before the closed form (circulant and convolution strategies,
+# measured on 2 vCPUs, numpy 2.4.6), at n = 32 and 64
+ROW_ENGINE_ERROR = {"elliptic": (1.270e-3, 3.204e-4),
+                    "degenerate_sin2": (2.471e-3, 1.294e-3),
+                    "tilted": (1.314e-3, 3.325e-4),
+                    "noz": (1.330e-3, 3.408e-4)}
+
+
+def _manufactured_error(nf, n):
+    x, y = grid_centers(n)
+    a, b = coeff_grid(nf, n)
+    w = 0.2 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    wx = 0.4 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    wy = -0.4 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+    f = b * wx - a * wy
+    u = t_omega(kernel_context(nf, n), GridFunction(n, f - f.mean())).values
+    e = u - w
+    return float(np.max(np.abs(e - e.mean())))
+
+
+@pytest.mark.parametrize("name", list(ROW_ENGINE_ERROR))
+def test_closed_form_error_is_at_most_the_row_engines(name):
+    # at most three quarters of the row engine's error: the closed form
+    # measured 6.35e-4 / 1.60e-4 on elliptic, 9.53e-4 / 2.40e-4 on
+    # degenerate_sin2 (whose row engine was at order 0.94), 6.37e-4 /
+    # 1.60e-4 on tilted and 8.67e-4 / 2.20e-4 on noz
+    nf = normalize(CIRCULANT_SPECS.get(name) or build_field(name))
+    for n, row_engine in zip((32, 64), ROW_ENGINE_ERROR[name]):
+        assert _manufactured_error(nf, n) <= 0.75 * row_engine
+
+
+def test_closed_form_is_second_order_next_to_the_circle(nf_deg_sin2):
+    # over every row of degenerate_sin2, the rows next to its circle too
+    e64, e128 = (_manufactured_error(nf_deg_sin2, n) for n in (64, 128))
+    assert np.log2(e64 / e128) >= 1.9
+
+
+def test_closed_form_weights_are_finite_at_the_nyquist_frequency():
+    # tau = 1.5i and n = 256: q_k underflows at k = n/2, and the steps
+    # across a half-cell fall to about exp(-2.2); every exponential is formed
+    # at a modulus of at most 1, so nothing overflows or divides by zero
+    ctx = kernel_context(normalize(X_INVARIANT_NO_Z), 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = operator_matrix(ctx)
+        xf = kn._x_fourier(ctx)
+        rows = [kn._window_rows(xf, y) for y in (0.0, 0.3, 1 / 512, 0.999)]
+    assert np.all(np.isfinite(op[126:131]))
+    for up, down, _ in rows:
+        assert np.all(np.isfinite(up[-1])) and np.all(np.isfinite(down[-1]))
+
+
+@pytest.mark.parametrize("name", ["elliptic", "degenerate_sin2", "noz"])
+def test_closed_form_evaluates_no_kernel_value(name, monkeypatch):
+    # the build, an apply, point probes and the y-jump on an x-invariant
+    # context, with every kernel value refused
+    def refuse(*args):
+        raise AssertionError("kernel evaluated on the closed-form path")
+
+    monkeypatch.setattr(kn, "theta_log_deriv_raw", refuse)
+    ctx = kernel_context(normalize(CIRCULANT_SPECS.get(name)
+                                   or build_field(name)), 48)
+    g = GridFunction.from_callable(
+        48, lambda x, y: np.exp(2j * np.pi * (x - y)) + np.sin(np.pi * y))
+    t_omega(ctx, g)
+    t_omega_point(ctx, g, (0.3, 1.7))
+    assert kn.t_omega_y_jump(ctx, g, 0.3) == -complex(np.mean(g.values))
 
 
 def test_lattice_dist(ctx_elliptic_16):

@@ -4,8 +4,8 @@ import pytest
 
 from hypotorus.core import HypotorusError, reduced_lattice_distance
 from hypotorus.theta import (PoleProximityError, closed_form_terms,
-                             theta_context, theta_eval, theta_log_deriv,
-                             theta_log_deriv_raw, theta_log_deriv_shifts,
+                             kernel_x_fourier, pole_offset, theta_context,
+                             theta_eval, theta_log_deriv, theta_log_deriv_raw,
                              truncation_terms)
 
 TAUS = (1j, 0.5j, 0.3 + 0.8j)
@@ -107,21 +107,36 @@ def test_log_deriv_takes_offsets_finer_than_the_zero_point():
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
-def test_log_deriv_shifts_match_series():
-    # n = 4 and 8 fold the 2 m_max + 1 Laurent terms mod n
-    rng = np.random.default_rng(9)
+def test_kernel_x_fourier_matches_fft():
+    # K(t + w) = sum_k C_k exp(2 pi i k (t + w)) along a line between the
+    # pole lines: the FFT of 64 kernel values along it gives C_k exp(2 pi i
+    # k w), above the real axis and below it
+    t = np.arange(64) / 64
+    k = np.arange(-6, 7)
     for tau in TAUS:
         ctx = theta_context(tau)
-        assert 2 * ctx.m_max + 1 > 8
-        e = cell_offsets(rng, tau, (3, 5))
-        k = rng.integers(-2, 3, (3, 5))
-        for n in (4, 8, 48):
-            got = theta_log_deriv_shifts(ctx, e, k, n)
-            shifted = e[:, None, :] - np.arange(n)[:, None] / n
-            want = theta_log_deriv_raw(ctx, shifted, k[:, None, :])
-            # the same rounding floor near the zero as against mpmath
-            dist = reduced_lattice_distance(shifted, tau)
-            assert np.all(np.abs(got - want) * dist <= 4e-15 / dist)
+        above, below = kernel_x_fourier(ctx, k)
+        for share, coef in ((0.3, above), (0.7, above), (-0.4, below)):
+            w = 0.1 + 1j * share * tau.imag
+            vals = theta_log_deriv_raw(ctx, *pole_offset(ctx, t + w))
+            got = np.fft.fft(vals)[k % 64] / 64
+            want = coef * np.exp(2j * np.pi * k * w)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_kernel_x_fourier_shift_law():
+    # K(w + tau) = K(w) - 2 pi i: below = above q_k with q_k = exp(2 pi i k
+    # tau), and below - above = 2 pi i at k = 0; no coefficient overflows
+    # where q_k underflows
+    k = np.arange(-300, 301)
+    for tau in TAUS + (1.5j,):
+        above, below = kernel_x_fourier(theta_context(tau), k)
+        assert np.all(np.isfinite(above)) and np.all(np.isfinite(below))
+        small = (np.abs(k) <= 6) & (k != 0)
+        q = np.exp(2j * np.pi * k[small] * tau)
+        assert np.allclose(below[small], above[small] * q, rtol=1e-13,
+                           atol=0.0)
+        assert below[k == 0] - above[k == 0] == 2j * np.pi
 
 
 def test_theta_matches_mpmath():

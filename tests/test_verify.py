@@ -8,6 +8,7 @@ from hypotorus import (
     convergence_study,
     residual_report,
 )
+from hypotorus.field import build_field, normalize
 from hypotorus.verify import ResidualReport, included_columns
 
 
@@ -75,6 +76,25 @@ def test_included_columns_mask(nf_deg_sin2):
     keep = included_columns(nf_deg_sin2, 64)
     assert not keep[:4].any() and not keep[-4:].any()
     assert keep[4:-4].all()
+
+
+def test_included_columns_is_cached_on_the_field(nf_deg_sin2):
+    # one read-only mask per field and n, which residual_report reads on
+    # every solve; the residual is the same as from a fresh mask
+    keep = included_columns(nf_deg_sin2, 48)
+    assert included_columns(nf_deg_sin2, 48) is keep
+    assert not keep.flags.writeable
+    assert nf_deg_sin2._grids[("included_columns", 48)] is keep
+    fresh = normalize(build_field("degenerate_sin2"))
+    assert ("included_columns", 48) not in fresh._grids
+    assert np.array_equal(included_columns(fresh, 48), keep)
+    u = GridFunction.from_callable(48, lambda x, y: np.sin(2 * np.pi * y))
+    lhs = apply_l_fd(nf_deg_sin2, u)
+    rhs = GridFunction.zeros(48)
+    r = (lhs.values - rhs.values)[:, keep]
+    rep = residual_report(nf_deg_sin2, lhs, rhs)
+    assert rep.sup_norm == float(np.abs(r).max())
+    assert rep.excluded_fraction == float(1.0 - keep.mean())
 
 
 def test_residual_report_validation(nf_elliptic):
