@@ -24,9 +24,9 @@ OFFSET_SAMPLES = 8      # boundary abscissae for the offset constancy
 MEAN_TOL = 1e-8         # relative gate on |mean f| for Lu = f solvability
 RESIDUAL_BOUND = 0.25   # a "yes" needs residual_sup <= this * (1 + sup|rhs|)
 K_MAX = 3               # solve_ab tries k = 0, then k* +- K_MAX around k*
-DAMPING = 0.5           # Picard step v <- (1-d) v + d P_k v
-MAX_ITER = 200          # Picard steps per winding
-PICARD_TOL = 1e-8       # Picard stops once an update is at most this
+ANDERSON_DEPTH = 5      # defect differences mixed per Picard step
+MAX_ITER = 200          # P_k applies per winding
+PICARD_TOL = 1e-8       # Picard stops once sup|P_k v - v| is at most this
 LATTICE_TOL = 1e-6      # exact-mode lattice tolerance in integer coordinates
 
 
@@ -65,9 +65,9 @@ class SolveReport:
 class FixedPointState:
     k: int
     v: GridFunction
-    delta_sup: float
-    converged: bool
-    iterations: int = 0
+    delta_sup: float        # sup|P_k v - v| at the last iterate applied
+    converged: bool         # delta_sup <= PICARD_TOL; v is then that iterate
+    iterations: int = 0     # applies of P_k
 
 
 def mean_integral(g: GridFunction) -> complex:
@@ -247,40 +247,39 @@ def pk_apply(ctx: KernelContext, a_fn: GridFunction, b_fn: GridFunction,
 
 def pk_fixed_point(ctx: KernelContext, a_fn: GridFunction,
                    b_fn: GridFunction, k: int) -> FixedPointState:
-    """Damped Picard iteration v <- (1-d) v + d P_k v from v = 0, with
-    d = DAMPING, for at most MAX_ITER steps, until an update is at most
-    PICARD_TOL.
+    """Anderson mixing of depth ANDERSON_DEPTH at full step on v <- P_k v
+    from v = 0, for at most MAX_ITER applies of P_k, until the defect
+    sup|P_k v - v| is at most PICARD_TOL; that v is returned.
 
-    When B vanishes the map is constant, so the damping is 1 and the
-    iteration lands exactly in two steps.  A converged state always
-    satisfies the a-posteriori defect bound |v - P_k v| <= 10 * PICARD_TOL;
-    states failing it are reported unconverged rather than trusted.
+    The next iterate is P_k v less the mix of the last ANDERSON_DEPTH
+    differences of P_k v whose defect differences cancel the most of the
+    defect in least squares.  P_k is only real-linear in v, through
+    conj(v), so the mixing coefficients are real: the least squares runs
+    on the float view of the grids.  When B vanishes P_k is constant, and
+    the second apply lands on v = T A exactly.
 
     P_k with B is P_0 with B twisted by the winding (_bk_factor), so B is
-    twisted once here, not on every step.
+    twisted once here, not on every apply.
     """
-    damping = 1.0 if b_fn.sup_norm() == 0.0 else DAMPING
     bk = GridFunction(ctx.n, _bk_factor(ctx, b_fn, k))
-    v = GridFunction.zeros(ctx.n)
-    delta = np.inf
-    converged = False
-    it = 0
+    v = np.zeros((ctx.n, ctx.n), complex)
+    d_f, d_g = [], []       # last differences of the defects and of P_k v
     for it in range(1, MAX_ITER + 1):
-        pv = pk_apply(ctx, a_fn, bk, 0, v)
-        new = GridFunction(
-            ctx.n, (1.0 - damping) * v.values + damping * pv.values)
-        delta = float(np.abs(new.values - v.values).max())
-        v = new
-        if delta <= PICARD_TOL:
-            converged = True
+        g = pk_apply(ctx, a_fn, bk, 0, GridFunction(ctx.n, v)).values
+        f = g - v
+        defect = float(np.abs(f).max())
+        if defect <= PICARD_TOL:
             break
-    if converged:
-        defect = float(np.abs(
-            v.values - pk_apply(ctx, a_fn, bk, 0, v).values).max())
-        if defect > 10.0 * PICARD_TOL:
-            converged = False
-    return FixedPointState(k=k, v=v, delta_sup=delta, converged=converged,
-                           iterations=it)
+        if it > 1:
+            d_f = (d_f + [(f - f_old).ravel().view(float)])[-ANDERSON_DEPTH:]
+            d_g = (d_g + [g - g_old])[-ANDERSON_DEPTH:]
+        f_old, g_old, v = f, g, g
+        if d_f:
+            gamma = np.linalg.lstsq(np.stack(d_f, axis=1),
+                                    f.ravel().view(float), rcond=None)[0]
+            v = g - sum(c * dg for c, dg in zip(gamma, d_g))
+    return FixedPointState(k=k, v=GridFunction(ctx.n, v), delta_sup=defect,
+                           converged=defect <= PICARD_TOL, iterations=it)
 
 
 def _k_order(k_max: int):
@@ -292,9 +291,12 @@ def _k_order(k_max: int):
 
 def solve_ab(ctx: KernelContext, a_fn: GridFunction,
              b_fn: GridFunction) -> SolveReport:
-    """Search windings k for a Picard fixed point (pk_fixed_point) whose
-    boundary offset is the lattice constant 2pi i (j - k tau) within the
-    _lattice_tols tolerance; the first hit yields u = exp(2pi i k Z + v).
+    """Search windings k for a Picard fixed point (pk_fixed_point, whose
+    defect is at most PICARD_TOL) whose boundary offset is the lattice
+    constant 2pi i (j - k tau) within the _lattice_tols tolerance; the
+    first hit yields u = exp(2pi i k Z + v), and the report's iterations
+    count the P_k applies at that winding (at every winding tried when
+    none is accepted).
 
     k = 0 goes first.  If its fixed point converged, its offset
     z0 = delta_0/(2pi i) predicts k* = -round(Im z0 / Im tau), else k* = 0;
@@ -318,7 +320,7 @@ def solve_ab(ctx: KernelContext, a_fn: GridFunction,
         if not state.converged:
             any_unconverged = True
             trail.append(f"k={k}: no fixed point in {state.iterations} "
-                         f"steps (last update {state.delta_sup:.2e})")
+                         f"applies (last defect {state.delta_sup:.2e})")
         else:
             integrand = _pk_integrand(ctx, a_fn, b_fn, k, state.v)
             delta_k = -mean_integral(integrand)

@@ -34,15 +34,18 @@ class ResidualReport:
 def apply_l_fd(nf: NormalizedField, u: GridFunction) -> GridFunction:
     """Centered-difference application of L = b d/dx - a d/dy.
 
-    Axis 0 of the grid runs along x, axis 1 along y; np.roll with shift -1
-    brings the sample one cell in the positive direction.
+    Axis 0 of the grid runs along x, axis 1 along y.  Each axis takes one
+    copy of the grid padded by one wrapped cell at either end, so its
+    slices [2:] and [:-2] hold the samples one cell ahead and one behind.
     """
     n = u.n
     h = 1.0 / n
     a, b = coeff_grid(nf, n)
     vals = u.values
-    ux = (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2.0 * h)
-    uy = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * h)
+    px = np.concatenate((vals[-1:], vals, vals[:1]), axis=0)
+    py = np.concatenate((vals[:, -1:], vals, vals[:, :1]), axis=1)
+    ux = (px[2:] - px[:-2]) / (2.0 * h)
+    uy = (py[:, 2:] - py[:, :-2]) / (2.0 * h)
     return GridFunction(n, b * ux - a * uy)
 
 

@@ -21,6 +21,8 @@ from hypotorus import (
     t_omega_point,
 )
 from hypotorus import exprparser as ep
+from hypotorus.core import grid_centers
+from hypotorus.field import coeff_grid
 from hypotorus.kernel import (REFINE_DEPTH, kernel_context, operator_matrix,
                               t_omega_y_jump)
 from hypotorus import kernel as kn
@@ -320,6 +322,93 @@ def test_pk_fixed_point_zero_data(ctx_elliptic_16):
                            const_grid(16, 0), k=0)
     assert state.converged and state.iterations == 1
     assert np.all(state.v.values == 0)
+
+
+def _defect(ctx, a_fn, b_fn, k, v):
+    return float(np.abs(pk_apply(ctx, a_fn, b_fn, k, v).values
+                        - v.values).max())
+
+
+def _damped_fixed_point(ctx, a_fn, b_fn, k, damping=0.5):
+    """Reference: damped Picard v <- v + d (P_k v - v) from v = 0 until an
+    update is at most PICARD_TOL; returns v and the applies of P_k, one
+    more than the steps for the defect check that follows them, or v None
+    if it stalls."""
+    v = GridFunction.zeros(ctx.n)
+    for it in range(1, sv.MAX_ITER + 1):
+        step = damping * (pk_apply(ctx, a_fn, b_fn, k, v).values - v.values)
+        v = GridFunction(ctx.n, v.values + step)
+        if np.abs(step).max() <= sv.PICARD_TOL:
+            return v, it + 1
+    return None, sv.MAX_ITER
+
+
+def _counted_fixed_point(monkeypatch, ctx, a_fn, b_fn, k):
+    """pk_fixed_point with its applies of P_k counted."""
+    calls, apply = [], sv.pk_apply
+
+    def counting(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(sv, "pk_apply", counting)
+    state = pk_fixed_point(ctx, a_fn, b_fn, k)
+    assert state.iterations == len(calls)
+    return state
+
+
+def test_pk_fixed_point_cold_sin2_ab_case_in_six_applies(nf_deg_sin2,
+                                                         monkeypatch):
+    # the benchmark's cold-sin2-ab case: A = L w - B exp(conj(w) - w) for
+    # w = 0.15 cos(2 pi x) sin(2 pi y), B = 0.1 exp(2 pi i y)
+    n = 48
+    ctx = kernel_context(nf_deg_sin2, n)
+    x, y = grid_centers(n)
+    w = 0.15 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)
+    wx = -0.3 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+    wy = 0.3 * np.pi * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    a, b = coeff_grid(nf_deg_sin2, n)
+    b_fn = GridFunction(n, 0.1 * np.exp(TWO_PI_I * y))
+    a_fn = GridFunction(n, b * wx - a * wy
+                        - b_fn.values * np.exp(np.conj(w) - w))
+    state = _counted_fixed_point(monkeypatch, ctx, a_fn, b_fn, 0)
+    assert state.converged and state.iterations <= 6
+    assert state.delta_sup <= sv.PICARD_TOL
+    assert _defect(ctx, a_fn, b_fn, 0, state.v) <= sv.PICARD_TOL
+
+
+def _ab_data(n, beta):
+    a_fn = GridFunction.from_callable(
+        n, lambda x, y: 0.3 * np.cos(2 * np.pi * x)
+        + 0.2j * np.sin(2 * np.pi * y))
+    b_fn = GridFunction.from_callable(
+        n, lambda x, y: beta * np.exp(TWO_PI_I * y))
+    return a_fn, b_fn
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 4.0])
+@pytest.mark.parametrize("field", ["elliptic", "degenerate_sin2"])
+def test_pk_fixed_point_takes_fewer_applies_than_damped_picard(
+        nf_elliptic, nf_deg_sin2, monkeypatch, field, beta):
+    nf = {"elliptic": nf_elliptic, "degenerate_sin2": nf_deg_sin2}[field]
+    ctx = kernel_context(nf, 32)
+    a_fn, b_fn = _ab_data(32, beta)
+    want, damped_applies = _damped_fixed_point(ctx, a_fn, b_fn, 0)
+    assert want is not None
+    state = _counted_fixed_point(monkeypatch, ctx, a_fn, b_fn, 0)
+    assert state.converged
+    assert state.iterations < damped_applies
+    assert _defect(ctx, a_fn, b_fn, 0, state.v) <= sv.PICARD_TOL
+    assert np.abs(state.v.values - want.values).max() <= 1e-7
+
+
+def test_pk_fixed_point_converges_where_damped_picard_stalls(nf_deg_sin2):
+    ctx = kernel_context(nf_deg_sin2, 32)
+    a_fn, b_fn = _ab_data(32, 8.0)
+    assert _damped_fixed_point(ctx, a_fn, b_fn, 0)[0] is None
+    state = pk_fixed_point(ctx, a_fn, b_fn, k=0)
+    assert state.converged and state.iterations < sv.MAX_ITER
+    assert _defect(ctx, a_fn, b_fn, 0, state.v) <= sv.PICARD_TOL
 
 
 def test_k_order():
